@@ -32,16 +32,12 @@ from .extractor import (
     find_candidates,
     glue_candidates,
     topk_neighbors,
-    vertex_profile,
 )
 from .geometry import (
-    TriangleProjection,
     TripleStats,
     barycentric,
     incircle,
     inside_triangle,
-    plane_basis,
-    project_to_plane,
     project_triple,
     triangle_stats,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "ExtractionParams",
     "PcaModel",
     "SyntheticCloud",
-    "TriangleProjection",
     "TripleStats",
     "Vertex",
     "VertexCandidate",
@@ -89,14 +84,11 @@ __all__ = [
     "load_embeddings",
     "normalized",
     "parse_embeddings",
-    "plane_basis",
     "project_onto_axis",
-    "project_to_plane",
     "project_triple",
     "run_analysis",
     "topk_neighbors",
     "triangle_stats",
-    "vertex_profile",
     "write_glove_text",
     "write_ground_truth",
 ]

@@ -35,7 +35,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-words",
         type=int,
-        default=50_000,
+        default=AnalysisConfig.max_words,
         metavar="N",
         help="keep only the first N unique tokens (default: %(default)s)",
     )
@@ -68,18 +68,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the full vertex-extraction pipeline")
     _add_input_options(p)
     _add_output_option(p)
-    p.add_argument("--axes", type=int, default=50, help="PCA axes to scan (default: %(default)s)")
-    p.add_argument("--k", type=int, default=100, help="neighbor list size for gluing (default: %(default)s)")
+    p.add_argument("--axes", type=int, default=AnalysisConfig.axes, help="PCA axes to scan (default: %(default)s)")
+    p.add_argument("--k", type=int, default=AnalysisConfig.k, help="neighbor list size for gluing (default: %(default)s)")
     p.add_argument(
         "--glue-threshold",
         type=float,
-        default=0.3,
+        default=AnalysisConfig.glue_threshold,
         help="Jaccard overlap that merges two candidates (default: %(default)s)",
     )
-    p.add_argument("--trials", type=int, default=20, help="random triangles per vertex in the filter (default: %(default)s)")
-    p.add_argument("--tau", type=float, default=0.1, help="max mean outside-triangle fraction to survive (default: %(default)s)")
-    p.add_argument("--triple-samples", type=int, default=100, help="random triples for the report aggregates (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="seed for all random draws (default: %(default)s)")
+    p.add_argument("--trials", type=int, default=AnalysisConfig.trials, help="random triangles per vertex in the filter (default: %(default)s)")
+    p.add_argument("--tau", type=float, default=AnalysisConfig.tau, help="max mean outside-triangle fraction to survive (default: %(default)s)")
+    p.add_argument("--triple-samples", type=int, default=AnalysisConfig.triple_samples, help="random triples for the report aggregates (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=AnalysisConfig.seed, help="seed for all random draws (default: %(default)s)")
     p.add_argument("--format", choices=["json", "text"], default="json", help="report format (default: %(default)s)")
 
     p = sub.add_parser("project", help="project the cloud onto one vertex triple")
@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="W1,W2,...",
         help="comma-separated vertex words (at least 3)",
     )
-    p.add_argument("--triple-samples", type=int, default=100, help="random triples to sample (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
+    p.add_argument("--triple-samples", type=int, default=AnalysisConfig.triple_samples, help="random triples to sample (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=AnalysisConfig.seed, help="sampling seed (default: %(default)s)")
 
     return parser
 

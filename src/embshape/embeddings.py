@@ -2,18 +2,20 @@
 
 Two plain-text formats are supported: GloVe text (one "token c1 ... cD" row
 per line, no header) and word2vec/fastText text (same rows after a leading
-"N D" count/dim header). Tokens keep file order, which for the published
-GloVe/fastText releases is frequency order, so truncating to the first
-``max_words`` rows gives the most frequent words.
+"N D" count/dim header). The last D fields of a row are its coordinates and
+the rest is the token, which may contain spaces. Tokens keep file order,
+which for the published GloVe/fastText releases is frequency order, so
+truncating to the first ``max_words`` rows gives the most frequent words.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, TextIO, Union
+from typing import BinaryIO, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -90,15 +92,44 @@ def detect_format(first_line: str) -> str:
     return GLOVE_TEXT
 
 
-def _as_text_stream(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> TextIO:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+# Zero-width split points after a CR that is not part of a CRLF.
+_LONE_CR_END = re.compile(rb"(?<=\r)(?!\n)")
+
+
+def _text_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[str]:
+    """The lines of ``source`` as text.
+
+    Files and binary streams end lines at LF, CRLF or a lone CR; ``bytes``
+    end them at LF only, and text streams as they iterate. Bytes are
+    decoded one line at a time, so invalid UTF-8 is reported with the
+    number of the line that holds it.
+    """
     if isinstance(source, io.TextIOBase):
-        return source
-    # binary file-like
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        yield from source
+        return
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield from _text_lines(fh)
+        return
+    lone_cr_ends_line = not isinstance(source, bytes)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    lineno = 0
+    for chunk in source:
+        if lone_cr_ends_line and b"\r" in chunk:
+            raws = [r for r in _LONE_CR_END.split(chunk) if r]
+        else:
+            raws = (chunk,)
+        for raw in raws:
+            lineno += 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EmbeddingFormatError(
+                    "line %d: invalid UTF-8 at byte %d of the line (%s)"
+                    % (lineno, exc.start + 1, exc.reason)
+                ) from None
+            yield line
 
 
 def parse_embeddings(
@@ -110,12 +141,12 @@ def parse_embeddings(
 
     Keeps the first ``max_words`` unique tokens in file order. A repeated
     token keeps its first vector and does not consume a slot. The dimension
-    comes from the w2v header when present, otherwise from the first data
-    row; every later row must match it.
+    D comes from the w2v header when present, otherwise from the first data
+    row. Every later row needs at least D fields after its token; any
+    fields before its last D belong to the token.
     """
     if max_words < 1:
         raise ValueError("max_words must be positive")
-    stream = _as_text_stream(source)
 
     words: list[str] = []
     seen: dict[str, int] = {}
@@ -124,7 +155,7 @@ def parse_embeddings(
     lineno = 0
     first_data_line = True
 
-    for raw in stream:
+    for raw in _text_lines(source):
         lineno += 1
         line = raw.rstrip()
         if not line:
@@ -141,18 +172,17 @@ def parse_embeddings(
                     )
                 dim = int(line.split()[1])
                 continue
-        parts = line.split(" ")
-        token = parts[0]
-        coords = parts[1:]
         if dim is None:
-            dim = len(coords)
+            dim = line.count(" ")
             if dim == 0:
                 raise EmbeddingFormatError("line %d: no coordinates found" % lineno)
-        if len(coords) != dim:
+        parts = line.rsplit(" ", dim)
+        if len(parts) <= dim:
             raise EmbeddingFormatError(
                 "line %d: expected %d coordinates, found %d"
-                % (lineno, dim, len(coords))
+                % (lineno, dim, len(parts) - 1)
             )
+        token, coords = parts[0], parts[1:]
         if token in seen:
             log.warning(
                 "line %d: duplicate token %r, keeping first occurrence",

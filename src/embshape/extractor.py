@@ -11,12 +11,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DegenerateSamplingError, DegenerateTriangleError
-from .geometry import triangle_stats
+from .geometry import TripleStats, triangle_stats
 from .pca import PcaModel, project_onto_axis
 
 log = logging.getLogger(__name__)
@@ -61,7 +62,11 @@ class Vertex:
 
 @dataclass(frozen=True)
 class ExtractionParams:
-    """Tunable knobs of the extraction pipeline."""
+    """Tunable knobs of the extraction pipeline.
+
+    The field defaults are the pipeline defaults; ``AnalysisConfig`` and
+    the command line read them from here.
+    """
 
     num_axes: int = 50
     k: int = 100
@@ -213,6 +218,42 @@ def glue_candidates(
     return vertices
 
 
+def sample_triangles(
+    space: EmbeddingSpace,
+    pool: Sequence[int],
+    count: int,
+    rng: np.random.Generator,
+    apex: int | None = None,
+) -> list[tuple[np.ndarray, TripleStats]]:
+    """Containment stats for up to ``count`` random triangles over ``pool``.
+
+    Each draw takes 3 distinct pool positions with ``rng.choice``, or 2
+    when a fixed ``apex`` word is given, which then is the first corner.
+    Degenerate triangles are redrawn, up to 10 x count draws in all, so
+    fewer than ``count`` results come back when the draws run out; a pool
+    too small for one draw gives none. Returns (drawn positions, stats)
+    pairs in draw order.
+    """
+    if count < 0:
+        raise ValueError("triangle sample count must be >= 0, got %d" % count)
+    size = 3 if apex is None else 2
+    if len(pool) < size:
+        return []
+    apex_corner = () if apex is None else (apex,)
+    drawn: list[tuple[np.ndarray, TripleStats]] = []
+    attempts = 0
+    while len(drawn) < count and attempts < 10 * count:
+        attempts += 1
+        picks = rng.choice(len(pool), size=size, replace=False)
+        corners = apex_corner + tuple(pool[int(p)] for p in picks)
+        try:
+            stats = triangle_stats(space, *corners)
+        except DegenerateTriangleError:
+            continue
+        drawn.append((picks, stats))
+    return drawn
+
+
 def filter_false_vertices(
     space: EmbeddingSpace,
     vertices: list[Vertex],
@@ -225,7 +266,7 @@ def filter_false_vertices(
     (from a stream seeded by the vertex rank, so results do not depend on
     evaluation order) and the mean outside-triangle fraction is stored on
     the vertex. Vertices with mean above tau are dropped. Degenerate
-    triples are redrawn up to 10 x trials times, then skipped.
+    triples are redrawn up to 10 x trials times (see ``sample_triangles``).
     """
     if len(vertices) < 3:
         log.warning(
@@ -238,24 +279,15 @@ def filter_false_vertices(
     for rank, vertex in enumerate(vertices):
         others = [r for i, r in enumerate(reps) if i != rank]
         rng = np.random.default_rng([params.seed, _FILTER_STREAM, rank])
-        fractions: list[float] = []
-        attempts = 0
-        max_attempts = 10 * params.trials
-        while len(fractions) < params.trials and attempts < max_attempts:
-            attempts += 1
-            a, b = rng.choice(len(others), size=2, replace=False)
-            try:
-                stats = triangle_stats(
-                    space, vertex.representative, others[int(a)], others[int(b)]
-                )
-            except DegenerateTriangleError:
-                continue
-            fractions.append(1.0 - stats.inside_triangle_fraction)
-        if not fractions:
+        drawn = sample_triangles(
+            space, others, params.trials, rng, apex=vertex.representative
+        )
+        if not drawn:
             raise DegenerateSamplingError(
                 "all sampled triples degenerate for vertex %r"
                 % space.words[vertex.representative]
             )
+        fractions = [1.0 - stats.inside_triangle_fraction for _, stats in drawn]
         vertex.outside_fraction = float(sum(fractions) / len(fractions))
 
     return [v for v in vertices if v.outside_fraction <= params.tau]
@@ -270,17 +302,3 @@ def describe_vertex(
     k = min(k_desc, space.n_words)
     ranked = topk_neighbors(space, space.vectors[vertex.representative], k)
     return [(space.words[i], sim) for i, sim in ranked]
-
-
-def vertex_profile(
-    space: EmbeddingSpace, word_index: int, vertices: list[Vertex]
-) -> np.ndarray:
-    """Cosine distances (1 - similarity) from one word to every vertex."""
-    vec = space.vectors[word_index]
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValueError("word %r has a zero vector" % space.words[word_index])
-    reps = space.vectors[[v.representative for v in vertices]]
-    rep_norms = np.linalg.norm(reps, axis=1)
-    sims = (reps @ vec) / (rep_norms * norm)
-    return 1.0 - sims

@@ -21,26 +21,6 @@ BARYCENTRIC_INSIDE_TOL = 1e-9
 _DEGENERACY_REL_TOL = 1e-12
 
 
-@dataclass(eq=False)
-class PlaneFrame:
-    """Origin plus two orthonormal direction vectors spanning a plane."""
-
-    origin: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-
-
-@dataclass(eq=False)
-class TriangleProjection:
-    """A vertex-triple plane with the whole cloud projected onto it."""
-
-    origin: np.ndarray
-    basis: np.ndarray  # 2 x D, rows e1 and e2
-    tri2d: np.ndarray  # 3 x 2 images of the triple
-    coords: np.ndarray  # N x 2 projected cloud
-    triple: tuple[int, int, int]
-
-
 @dataclass
 class TripleStats:
     """Containment statistics of the cloud for one vertex triple."""
@@ -51,18 +31,19 @@ class TripleStats:
     inradius: float
 
 
-def plane_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> PlaneFrame:
-    """Orthonormal frame through point ``a`` spanning {b-a, c-a}.
+def _plane_basis(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal directions e1, e2 of the plane through a, b and c.
 
     e1 points along b-a; e2 is the Gram-Schmidt residual of c-a.
     """
-    a = np.asarray(a, dtype=np.float64)
-    u = np.asarray(b, dtype=np.float64) - a
+    u = b - a
     nu = np.linalg.norm(u)
     if nu < 1e-12:
         raise DegenerateTriangleError("first two points coincide")
     e1 = u / nu
-    w = np.asarray(c, dtype=np.float64) - a
+    w = c - a
     nw = np.linalg.norm(w)
     if nw < 1e-12:
         raise DegenerateTriangleError("the third point coincides with the first")
@@ -70,33 +51,28 @@ def plane_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> PlaneFrame:
     nr = np.linalg.norm(r)
     if nr < 1e-9 * nw:
         raise DegenerateTriangleError("the three points are nearly collinear")
-    return PlaneFrame(origin=a, e1=e1, e2=r / nr)
+    return e1, r / nr
 
 
-def project_points(points: np.ndarray, frame: PlaneFrame) -> np.ndarray:
-    """Orthogonal projection of D-dim points, expressed in frame coords."""
-    shifted = np.atleast_2d(points) - frame.origin
-    return np.column_stack((shifted @ frame.e1, shifted @ frame.e2))
+def project_triple(
+    space: EmbeddingSpace, ia: int, ib: int, ic: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project the whole cloud onto the plane through three of its words.
 
-
-def project_to_plane(space: EmbeddingSpace, frame: PlaneFrame) -> np.ndarray:
-    """Project the whole cloud onto the frame; returns N x 2 coordinates."""
-    return project_points(space.vectors, frame)
-
-
-def project_triple(space: EmbeddingSpace, ia: int, ib: int, ic: int) -> TriangleProjection:
-    """Build the full projection record for a vertex triple."""
+    The plane's origin is word ``ia``. Returns the N x 2 coordinates of
+    every word and the 3 x 2 triangle of words ``ia``, ``ib``, ``ic``.
+    The triangle is projected from its own 3 x D stack rather than read
+    from the cloud's rows: the mat-vec kernels round differently on the
+    two shapes, and the reports are pinned to this arithmetic.
+    """
     a, b, c = space.vectors[ia], space.vectors[ib], space.vectors[ic]
-    frame = plane_basis(a, b, c)
-    tri2d = project_points(np.vstack((a, b, c)), frame)
-    coords = project_to_plane(space, frame)
-    return TriangleProjection(
-        origin=frame.origin,
-        basis=np.vstack((frame.e1, frame.e2)),
-        tri2d=tri2d,
-        coords=coords,
-        triple=(ia, ib, ic),
-    )
+    e1, e2 = _plane_basis(a, b, c)
+
+    def project(points: np.ndarray) -> np.ndarray:
+        shifted = points - a
+        return np.column_stack((shifted @ e1, shifted @ e2))
+
+    return project(space.vectors), project(np.vstack((a, b, c)))
 
 
 def _signed_double_area(tri2d: np.ndarray) -> float:
@@ -158,11 +134,18 @@ def incircle(tri2d: np.ndarray) -> tuple[np.ndarray, float]:
     return center, radius
 
 
-def inside_circle(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Boolean mask of points inside a circle (boundary counts)."""
-    p = np.atleast_2d(points)
-    d2 = (p[:, 0] - center[0]) ** 2 + (p[:, 1] - center[1]) ** 2
-    return d2 <= radius * radius
+def containment(
+    coords: np.ndarray, tri2d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Which projected points fall inside the triangle and its incircle.
+
+    Returns the inside-triangle mask, the incenter, the inradius and the
+    inside-incircle mask; boundaries count as inside for both masks.
+    """
+    in_tri = inside_triangle(coords, tri2d)
+    center, radius = incircle(tri2d)
+    d2 = (coords[:, 0] - center[0]) ** 2 + (coords[:, 1] - center[1]) ** 2
+    return in_tri, center, radius, d2 <= radius * radius
 
 
 def triangle_stats(space: EmbeddingSpace, va: int, vb: int, vc: int) -> TripleStats:
@@ -170,11 +153,9 @@ def triangle_stats(space: EmbeddingSpace, va: int, vb: int, vc: int) -> TripleSt
 
     Fractions are over all N words, vertices included.
     """
-    proj = project_triple(space, va, vb, vc)
+    coords, tri2d = project_triple(space, va, vb, vc)
+    in_tri, center, radius, in_circ = containment(coords, tri2d)
     n = space.n_words
-    in_tri = inside_triangle(proj.coords, proj.tri2d)
-    center, radius = incircle(proj.tri2d)
-    in_circ = inside_circle(proj.coords, center, radius)
     return TripleStats(
         inside_triangle_fraction=float(np.count_nonzero(in_tri)) / n,
         outside_incircle_fraction=1.0 - float(np.count_nonzero(in_circ)) / n,

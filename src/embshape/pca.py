@@ -36,14 +36,6 @@ class PcaModel:
     def num_axes(self) -> int:
         return self.axes.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "axes": self.axes.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "total_variance": self.total_variance,
-        }
-
 
 def _covariance(vectors: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Population (1/N) covariance, accumulated block by block in a fixed

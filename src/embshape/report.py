@@ -18,22 +18,20 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .embeddings import EmbeddingSpace, load_embeddings, normalized
-from .errors import DegenerateTriangleError
+from .embeddings import DEFAULT_MAX_WORDS, EmbeddingSpace, load_embeddings, normalized
 from .extractor import (
     ExtractionParams,
     describe_vertex,
     filter_false_vertices,
     find_candidates,
     glue_candidates,
+    sample_triangles,
 )
-from .geometry import incircle, inside_circle, inside_triangle, project_triple, triangle_stats
+from .geometry import containment, project_triple
 from .pca import fit_pca, informative_axis_count
 
 # Stream tag for the triple sampler (the false-vertex filter uses tag 0).
 _TRIPLE_STREAM = 1
-
-DESCRIPTION_WORDS = 5
 
 
 def _round6(x: float) -> float:
@@ -44,18 +42,22 @@ def _round6(x: float) -> float:
 
 @dataclass
 class AnalysisConfig:
-    """Inputs and knobs for one full analysis run."""
+    """Inputs and knobs for one full analysis run.
+
+    The defaults are the pipeline defaults; the command line reads them
+    from here.
+    """
 
     input_path: str
-    max_words: int = 50_000
+    max_words: int = DEFAULT_MAX_WORDS
     normalize: bool = False
-    axes: int = 50
-    k: int = 100
-    glue_threshold: float = 0.3
-    trials: int = 20
-    tau: float = 0.1
+    axes: int = ExtractionParams.num_axes
+    k: int = ExtractionParams.k
+    glue_threshold: float = ExtractionParams.glue_threshold
+    trials: int = ExtractionParams.trials
+    tau: float = ExtractionParams.tau
     triple_samples: int = 100
-    seed: int = 0
+    seed: int = ExtractionParams.seed
 
 
 @dataclass
@@ -69,20 +71,6 @@ class AnalysisReport:
     aggregates: dict
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisReport":
-        return cls(
-            params=data["params"],
-            vertices=data["vertices"],
-            rejected=data["rejected"],
-            triple_sample=data["triple_sample"],
-            aggregates=data["aggregates"],
-            warnings=data["warnings"],
-        )
-
 
 def sample_triple_stats(
     space: EmbeddingSpace,
@@ -93,31 +81,19 @@ def sample_triple_stats(
 ) -> list[dict]:
     """Containment stats for seeded random triples of the given vertices.
 
-    Degenerate triples are redrawn, up to 10 x num_samples attempts.
+    Degenerate triples are redrawn, up to 10 x num_samples attempts; fewer
+    than 3 vertices give no triples.
     """
-    if len(vertex_indices) < 3:
-        return []
     names = tokens if tokens is not None else [space.words[i] for i in vertex_indices]
     rng = np.random.default_rng([seed, _TRIPLE_STREAM])
-    entries: list[dict] = []
-    attempts = 0
-    max_attempts = 10 * num_samples
-    while len(entries) < num_samples and attempts < max_attempts:
-        attempts += 1
-        picks = rng.choice(len(vertex_indices), size=3, replace=False)
-        ia, ib, ic = (vertex_indices[int(p)] for p in picks)
-        try:
-            stats = triangle_stats(space, ia, ib, ic)
-        except DegenerateTriangleError:
-            continue
-        entries.append(
-            {
-                "vertices": [names[int(p)] for p in picks],
-                "inside_triangle_fraction": _round6(stats.inside_triangle_fraction),
-                "outside_incircle_fraction": _round6(stats.outside_incircle_fraction),
-            }
-        )
-    return entries
+    return [
+        {
+            "vertices": [names[int(p)] for p in picks],
+            "inside_triangle_fraction": _round6(stats.inside_triangle_fraction),
+            "outside_incircle_fraction": _round6(stats.outside_incircle_fraction),
+        }
+        for picks, stats in sample_triangles(space, vertex_indices, num_samples, rng)
+    ]
 
 
 def aggregate_triple_stats(entries: list[dict]) -> dict:
@@ -174,7 +150,7 @@ def analyze_space(
     for v in survivors:
         description = [
             {"token": tok, "similarity": _round6(sim)}
-            for tok, sim in describe_vertex(space, v, DESCRIPTION_WORDS)
+            for tok, sim in describe_vertex(space, v)
         ]
         vertex_entries.append(
             {
@@ -237,7 +213,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisReport:
 def emit_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Render a report as UTF-8 bytes (stable JSON or a readable table)."""
     if fmt == "json":
-        text = json.dumps(report.to_dict(), ensure_ascii=False, indent=2)
+        text = json.dumps(asdict(report), ensure_ascii=False, indent=2)
         return (text + "\n").encode("utf-8")
     if fmt == "text":
         return _format_text_report(report).encode("utf-8")
@@ -296,14 +272,12 @@ def emit_projection(
     flags; SVG draws the scatter with the triangle, its incircle, and the
     three vertex labels.
     """
-    proj = project_triple(space, *triple)
-    in_tri = inside_triangle(proj.coords, proj.tri2d)
-    center, radius = incircle(proj.tri2d)
-    in_circ = inside_circle(proj.coords, center, radius)
+    coords, tri2d = project_triple(space, *triple)
+    in_tri, center, radius, in_circ = containment(coords, tri2d)
     if fmt == "csv":
-        return _projection_csv(space, proj.coords, in_tri, in_circ)
+        return _projection_csv(space, coords, in_tri, in_circ)
     if fmt == "svg":
-        return _projection_svg(space, proj, in_tri, center, radius)
+        return _projection_svg(space, triple, coords, tri2d, in_tri, center, radius)
     raise ValueError("unknown projection format %r" % fmt)
 
 
@@ -333,8 +307,7 @@ def _xml_escape(text: str) -> str:
     )
 
 
-def _projection_svg(space, proj, in_tri, center, radius) -> bytes:
-    coords = proj.coords
+def _projection_svg(space, triple, coords, tri2d, in_tri, center, radius) -> bytes:
     size = 800.0
     pad = 40.0
     xmin, ymin = coords.min(axis=0)
@@ -362,7 +335,7 @@ def _projection_svg(space, proj, in_tri, center, radius) -> bytes:
             % (sx(coords[i, 0]), sy(coords[i, 1]), color)
         )
     tri_pts = " ".join(
-        "%.3f,%.3f" % (sx(x), sy(y)) for x, y in proj.tri2d
+        "%.3f,%.3f" % (sx(x), sy(y)) for x, y in tri2d
     )
     parts.append(
         '<polygon points="%s" fill="none" stroke="black" stroke-width="1.5"/>\n'
@@ -373,8 +346,7 @@ def _projection_svg(space, proj, in_tri, center, radius) -> bytes:
         'stroke-width="1" stroke-dasharray="6 4"/>\n'
         % (sx(center[0]), sy(center[1]), radius * scale)
     )
-    for corner_idx, word_idx in enumerate(proj.triple):
-        x, y = proj.tri2d[corner_idx]
+    for (x, y), word_idx in zip(tri2d, triple):
         parts.append(
             '<text x="%.3f" y="%.3f" font-size="16" font-family="sans-serif">'
             "%s</text>\n" % (sx(x) + 6, sy(y) - 6, _xml_escape(space.words[word_idx]))

@@ -75,6 +75,25 @@ class TestParse:
         with pytest.raises(EmbeddingFormatError, match="line 3"):
             parse_embeddings(b"a 1 0\nb 0 1\nc 1\n", max_words=10)
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"2 2\nnew york 1 2\nb 0 1\n", b"a 0 0\nnew york 1 2\nb 0 1\n"],
+        ids=["w2v_header", "glove_first_row"],
+    )
+    def test_token_with_spaces_keeps_last_dim_fields(self, data):
+        space = parse_embeddings(data, max_words=10)
+        assert "new york" in space.words
+        assert np.array_equal(space.vectors[space.index["new york"]], [1.0, 2.0])
+        assert space.words[-1] == "b"
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        data = b"".join(b"w%d 1 0\n" % i for i in range(5000)) + b"caf\xe9 1 1\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        for source in (data, io.BytesIO(data), path):
+            with pytest.raises(EmbeddingFormatError, match="line 5001: invalid UTF-8"):
+                parse_embeddings(source, max_words=10_000)
+
     def test_non_numeric_coordinate(self):
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             parse_embeddings(b"a 1 0\nb x 1\n", max_words=10)
@@ -102,6 +121,17 @@ class TestParse:
         space = parse_embeddings(b"a 1 0 \r\nb 0 1\r\n", max_words=5)
         assert space.words == ["a", "b"]
         assert np.array_equal(space.vectors, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_lone_cr_ends_a_line_in_files_and_binary_streams(self, tmp_path):
+        good = b"a 1 0\rb 0 1\r\nc 1 1\r"
+        bad = good + b"\xff 2 2\r"
+        (tmp_path / "good.txt").write_bytes(good)
+        (tmp_path / "bad.txt").write_bytes(bad)
+        for source in (io.BytesIO(good), tmp_path / "good.txt"):
+            assert parse_embeddings(source, max_words=5).words == ["a", "b", "c"]
+        for source in (io.BytesIO(bad), tmp_path / "bad.txt"):
+            with pytest.raises(EmbeddingFormatError, match="line 4: invalid UTF-8"):
+                parse_embeddings(source, max_words=5)
 
 
 _token = st.text(

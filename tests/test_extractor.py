@@ -14,7 +14,6 @@ from embshape import (
     generate_simplex_cloud,
     glue_candidates,
     topk_neighbors,
-    vertex_profile,
 )
 from embshape.extractor import VertexCandidate, glue_by_neighbor_sets
 
@@ -346,25 +345,6 @@ class TestDescribe:
         ]
         oracle = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:10]
         assert [random_space.words[i] for i in oracle] == [t for t, _ in desc]
-
-
-class TestVertexProfile:
-    def test_profile_shape_and_self_distance(self, small_cloud):
-        space, params, vertices = _pipeline_vertices(small_cloud)
-        rep = vertices[0].representative
-        profile = vertex_profile(space, rep, vertices)
-        assert profile.shape == (len(vertices),)
-        assert profile[0] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(profile >= -1e-12) and np.all(profile <= 2 + 1e-12)
-
-    def test_zero_vector_word_rejected(self, small_cloud):
-        space, params, vertices = _pipeline_vertices(small_cloud)
-        padded = EmbeddingSpace(
-            words=space.words + ["zero"],
-            vectors=np.vstack([space.vectors, np.zeros(space.dim)]),
-        )
-        with pytest.raises(ValueError, match="zero"):
-            vertex_profile(padded, len(padded) - 1, vertices)
 
 
 class TestExtractionParams:

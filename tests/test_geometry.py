@@ -9,12 +9,9 @@ from embshape import (
     barycentric,
     incircle,
     inside_triangle,
-    plane_basis,
-    project_to_plane,
     project_triple,
     triangle_stats,
 )
-from embshape.geometry import project_points
 
 
 def _space(vectors):
@@ -35,70 +32,101 @@ def half_plane_inside(point, tri2d, eps=0.0):
     return all(s >= -eps for s in signs) or all(s <= eps for s in signs)
 
 
+def _in_plane_points(rng, a, b, c, n):
+    """n random affine combinations a + s (b - a) + t (c - a)."""
+    weights = rng.uniform(-2, 2, size=(n, 2))
+    return weights, a + weights[:, :1] * (b - a) + weights[:, 1:] * (c - a)
+
+
+def _plane_normal(rng, a, b, c):
+    """A random nonzero direction orthogonal to b - a and c - a."""
+    q, _ = np.linalg.qr(np.column_stack((b - a, c - a)))
+    r = rng.standard_normal(len(a))
+    return r - q @ (q.T @ r)
+
+
+def _assert_plane_isometry(a, b, c, rng, tol):
+    """project_triple's frame is an orthonormal basis of the plane through
+    a, b, c: in-plane points keep their pairwise distances and their
+    distance to a (so each one reconstructs from its 2-d coordinates), and
+    a shift along the plane's normal leaves a point's coordinates as they
+    are."""
+    _, pts = _in_plane_points(rng, a, b, c, 10)
+    n = _plane_normal(rng, a, b, c)
+    on_plane = np.vstack([a, b, c, pts])
+    coords, _ = project_triple(_space(np.vstack([on_plane, on_plane + n])), 0, 1, 2)
+    k = len(on_plane)
+    for i in range(k):
+        for j in range(i + 1, k):
+            d2 = np.linalg.norm(coords[i] - coords[j])
+            dd = np.linalg.norm(on_plane[i] - on_plane[j])
+            assert abs(d2 - dd) < tol * max(dd, 1.0)
+    for i in range(k):
+        r = np.linalg.norm(on_plane[i] - a)
+        assert abs(np.linalg.norm(coords[i]) - r) < tol * max(r, 1.0)
+        assert np.linalg.norm(coords[k + i] - coords[i]) < tol * max(r, 1.0)
+
+
 class TestPlaneBasis:
     def test_already_orthonormal(self):
-        frame = plane_basis(np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-        assert np.array_equal(frame.e1, [1, 0, 0])
-        assert np.array_equal(frame.e2, [0, 1, 0])
+        # e1 = x and e2 = y: points of the xy plane keep their coordinates
+        space = _space([(0.0, 0, 0), (1, 0, 0), (0, 1, 0), (3, -2, 0), (0.5, 4, 0)])
+        coords, tri2d = project_triple(space, 0, 1, 2)
+        assert np.array_equal(coords, space.vectors[:, :2])
+        assert np.array_equal(tri2d, [[0, 0], [1, 0], [0, 1]])
 
     def test_gram_schmidt_removes_e1_component(self):
-        frame = plane_basis(
-            np.zeros(3), np.array([2.0, 0, 0]), np.array([1.0, 1.0, 0])
-        )
-        assert np.allclose(frame.e1, [1, 0, 0])
-        assert np.allclose(frame.e2, [0, 1, 0])
+        space = _space([(0.0, 0, 0), (2, 0, 0), (1, 1, 0), (3, -2, 0), (0.5, 4, 0)])
+        coords, _ = project_triple(space, 0, 1, 2)
+        assert np.allclose(coords, space.vectors[:, :2])
+        _assert_plane_isometry(*space.vectors[:3], np.random.default_rng(1), 1e-12)
 
     def test_random_high_dim_triples(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a, b, c = rng.standard_normal((3, 300))
-            frame = plane_basis(a, b, c)
-            assert abs(frame.e1 @ frame.e1 - 1) < 1e-9
-            assert abs(frame.e2 @ frame.e2 - 1) < 1e-9
-            assert abs(frame.e1 @ frame.e2) < 1e-9
-            # oracle: both edge vectors reconstruct from the basis
-            for v in (b - a, c - a):
-                recon = (v @ frame.e1) * frame.e1 + (v @ frame.e2) * frame.e2
-                assert np.linalg.norm(recon - v) < 1e-9 * np.linalg.norm(v)
+            _assert_plane_isometry(a, b, c, rng, 1e-9)
 
     def test_coincident_points_fail(self):
-        with pytest.raises(DegenerateTriangleError):
-            plane_basis(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0]))
+        space = _space([(0.0, 0, 0), (0, 0, 0), (1, 0, 0)])
+        with pytest.raises(DegenerateTriangleError, match="first two points coincide"):
+            project_triple(space, 0, 1, 2)
 
     def test_collinear_points_fail(self):
-        with pytest.raises(DegenerateTriangleError):
-            plane_basis(
-                np.zeros(3), np.array([1.0, 0, 0]), np.array([2.0, 1e-12, 0])
-            )
+        space = _space([(0.0, 0, 0), (1, 0, 0), (2, 1e-12, 0)])
+        with pytest.raises(DegenerateTriangleError, match="nearly collinear"):
+            project_triple(space, 0, 1, 2)
 
     def test_third_point_coincident_with_first_fails(self):
-        with pytest.raises(DegenerateTriangleError):
-            plane_basis(np.zeros(3), np.array([1.0, 0, 0]), np.zeros(3))
+        space = _space([(0.0, 0, 0), (1, 0, 0), (0, 0, 0)])
+        with pytest.raises(DegenerateTriangleError, match="coincides with the first"):
+            project_triple(space, 0, 1, 2)
 
 
 class TestProjectToPlane:
     def test_origin_maps_to_zero(self):
-        space = _space([(0.0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        frame = plane_basis(*space.vectors)
-        coords = project_to_plane(space, frame)
+        space = _space([(0.5, 2, -1), (1, 0, 0), (0, 1, 0)])
+        coords, tri2d = project_triple(space, 0, 1, 2)
         assert np.array_equal(coords[0], [0.0, 0.0])
+        assert np.array_equal(tri2d[0], [0.0, 0.0])
 
     def test_in_plane_points_reconstruct(self):
+        # an in-plane point p projects to (x, y) with |(x, y)| = |p - a|,
+        # so p = a + x e1 + y e2; a point off the plane lands on the
+        # coordinates of its foot
         rng = np.random.default_rng(8)
         a, b, c = rng.standard_normal((3, 10))
-        frame = plane_basis(a, b, c)
-        for _ in range(10):
-            s, t = rng.uniform(-2, 2, 2)
-            p = a + s * (b - a) + t * (c - a)
-            (x, y), = project_points(p, frame)
-            recon = frame.origin + x * frame.e1 + y * frame.e2
-            assert np.linalg.norm(recon - p) < 1e-9
+        _, pts = _in_plane_points(rng, a, b, c, 10)
+        n = _plane_normal(rng, a, b, c)
+        coords, _ = project_triple(_space(np.vstack([a, b, c, pts, pts + n])), 0, 1, 2)
+        for i, p in enumerate(pts):
+            assert abs(np.linalg.norm(coords[3 + i]) - np.linalg.norm(p - a)) < 1e-9
+            assert np.linalg.norm(coords[13 + i] - coords[3 + i]) < 1e-9
 
     def test_projection_is_1_lipschitz(self):
         rng = np.random.default_rng(9)
         space = _space(rng.standard_normal((200, 40)))
-        frame = plane_basis(space.vectors[0], space.vectors[1], space.vectors[2])
-        coords = project_to_plane(space, frame)
+        coords, _ = project_triple(space, 0, 1, 2)
         for _ in range(200):
             i, j = rng.integers(0, 200, 2)
             d2 = np.linalg.norm(coords[i] - coords[j])
@@ -108,11 +136,11 @@ class TestProjectToPlane:
     def test_tri2d_distances_match_high_dim(self):
         rng = np.random.default_rng(10)
         space = _space(rng.standard_normal((5, 60)))
-        proj = project_triple(space, 0, 1, 2)
+        _, tri2d = project_triple(space, 0, 1, 2)
         pts = space.vectors[[0, 1, 2]]
         for i in range(3):
             for j in range(i + 1, 3):
-                d2 = np.linalg.norm(proj.tri2d[i] - proj.tri2d[j])
+                d2 = np.linalg.norm(tri2d[i] - tri2d[j])
                 dd = np.linalg.norm(pts[i] - pts[j])
                 assert d2 == pytest.approx(dd, rel=1e-6)
 

@@ -83,13 +83,6 @@ class TestFitPca:
         with pytest.raises(ValueError):
             fit_pca(_space([[1.0, 2.0]]), 1)  # N < 2
 
-    def test_model_dumpable(self, random_space):
-        import json
-
-        model = fit_pca(random_space, 3)
-        parsed = json.loads(json.dumps(model.to_dict()))
-        assert len(parsed["axes"]) == 3
-
 
 class TestProjection:
     def test_basis_vector_projection(self):

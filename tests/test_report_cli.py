@@ -14,8 +14,7 @@ from embshape import (
     emit_projection,
     emit_report,
     generate_simplex_cloud,
-    plane_basis,
-    project_to_plane,
+    project_triple,
     run_analysis,
     write_glove_text,
 )
@@ -92,7 +91,7 @@ class TestAnalyze:
 class TestEmitReport:
     def test_json_round_trip(self, small_report):
         payload = emit_report(small_report, "json")
-        parsed = AnalysisReport.from_dict(json.loads(payload))
+        parsed = AnalysisReport(**json.loads(payload))
         assert parsed == small_report
         assert emit_report(parsed, "json") == payload
 
@@ -137,8 +136,7 @@ class TestEmitProjection:
         ia, ib, ic = small_cloud.true_vertices[:3]
         payload = emit_projection(space, (ia, ib, ic), "csv").decode()
         rows = list(csv.reader(io.StringIO(payload)))[1:]
-        frame = plane_basis(space.vectors[ia], space.vectors[ib], space.vectors[ic])
-        coords = project_to_plane(space, frame)
+        coords, _ = project_triple(space, ia, ib, ic)
         got = np.array([[float(r[1]), float(r[2])] for r in rows])
         assert np.array_equal(got, coords)
 
@@ -261,6 +259,17 @@ class TestCli:
         rc = main(["project", str(cloud_file), "--words", "a", "b", "c"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["stats", "--words", "w000001,w000002,w000003"]],
+        ids=["analyze", "stats"],
+    )
+    def test_negative_triple_samples_is_an_error(self, cloud_file, capsys, command):
+        rc = main([command[0], str(cloud_file), *command[1:], "--triple-samples", "-5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "-5" in err
 
     def test_stats_needs_three_words(self, cloud_file, capsys):
         rc = main(["stats", str(cloud_file), "--words", "w000001,w000002"])
