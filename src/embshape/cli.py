@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .embeddings import load_embeddings, normalized, write_glove_text, format_glove_text
 from .errors import EmbshapeError
+from .extractor import check_sample_count
 from .report import (
     AnalysisConfig,
     aggregate_triple_stats,
@@ -196,6 +197,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    check_sample_count(args.triple_samples)
     space = _load_space(args)
     words = [w for w in args.words.split(",") if w]
     if len(words) < 3:

@@ -14,6 +14,7 @@ import io
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Iterator, TextIO, Union
 
@@ -60,6 +61,14 @@ class EmbeddingSpace:
         if not np.isfinite(self.vectors).all():
             raise ValueError("vectors contain non-finite values")
         self.vectors.setflags(write=False)
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of every row, computed on first use. The matrix
+        is read-only, so the norms cannot go stale."""
+        norms = np.linalg.norm(self.vectors, axis=1)
+        norms.setflags(write=False)
+        return norms
 
     @property
     def n_words(self) -> int:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DegenerateSamplingError, DegenerateTriangleError
-from .geometry import TripleStats, triangle_stats
-from .pca import PcaModel, project_onto_axis
+from .geometry import PoolProduct, TripleStats
+from .pca import PcaModel, centered_product
 
 log = logging.getLogger(__name__)
 
@@ -119,15 +119,17 @@ def find_candidates(
     """The argmin/argmax words of each of the first ``num_axes`` axes.
 
     Candidates come out in (axis0-min, axis0-max, axis1-min, ...) order;
-    ties on the extreme value go to the lowest word index.
+    ties on the extreme value go to the lowest word index. All axes are
+    scored in one blocked product, which gives identical rows identical
+    scores wherever they sit in the matrix.
     """
     if not 0 < num_axes <= pca.num_axes:
         raise ValueError(
             "num_axes %d out of range [1, %d]" % (num_axes, pca.num_axes)
         )
+    scores = centered_product(space.vectors, pca.mean, pca.axes[:num_axes])
     out: list[VertexCandidate] = []
-    for i in range(num_axes):
-        col = project_onto_axis(space, pca, i)
+    for i, col in enumerate(scores):
         lo = int(np.argmin(col))
         hi = int(np.argmax(col))
         out.append(VertexCandidate(lo, i, END_MIN, float(col[lo])))
@@ -149,7 +151,7 @@ def topk_neighbors(
         raise ValueError("query vector has zero norm")
     if not 1 <= k <= space.n_words:
         raise ValueError("k must be in [1, %d], got %d" % (space.n_words, k))
-    norms = np.linalg.norm(space.vectors, axis=1)
+    norms = space.row_norms
     zero = norms == 0.0
     sims = (space.vectors @ query) / (np.where(zero, 1.0, norms) * qnorm)
     sims[zero] = 0.0
@@ -218,8 +220,14 @@ def glue_candidates(
     return vertices
 
 
+def check_sample_count(count: int) -> None:
+    """Reject a negative number of triangles to sample."""
+    if count < 0:
+        raise ValueError("triangle sample count must be >= 0, got %d" % count)
+
+
 def sample_triangles(
-    space: EmbeddingSpace,
+    product: PoolProduct,
     pool: Sequence[int],
     count: int,
     rng: np.random.Generator,
@@ -229,13 +237,13 @@ def sample_triangles(
 
     Each draw takes 3 distinct pool positions with ``rng.choice``, or 2
     when a fixed ``apex`` word is given, which then is the first corner.
-    Degenerate triangles are redrawn, up to 10 x count draws in all, so
-    fewer than ``count`` results come back when the draws run out; a pool
-    too small for one draw gives none. Returns (drawn positions, stats)
-    pairs in draw order.
+    ``product`` must hold every pool word and the apex. Degenerate
+    triangles are redrawn, up to 10 x count draws in all, so fewer than
+    ``count`` results come back when the draws run out; a pool too small
+    for one draw gives none. Returns (drawn positions, stats) pairs in
+    draw order.
     """
-    if count < 0:
-        raise ValueError("triangle sample count must be >= 0, got %d" % count)
+    check_sample_count(count)
     size = 3 if apex is None else 2
     if len(pool) < size:
         return []
@@ -247,7 +255,7 @@ def sample_triangles(
         picks = rng.choice(len(pool), size=size, replace=False)
         corners = apex_corner + tuple(pool[int(p)] for p in picks)
         try:
-            stats = triangle_stats(space, *corners)
+            stats = product.triangle_stats(*corners)
         except DegenerateTriangleError:
             continue
         drawn.append((picks, stats))
@@ -267,6 +275,8 @@ def filter_false_vertices(
     evaluation order) and the mean outside-triangle fraction is stored on
     the vertex. Vertices with mean above tau are dropped. Degenerate
     triples are redrawn up to 10 x trials times (see ``sample_triangles``).
+    All triangles are projected through one ``PoolProduct`` over the
+    representatives.
     """
     if len(vertices) < 3:
         log.warning(
@@ -276,11 +286,12 @@ def filter_false_vertices(
         return list(vertices)
 
     reps = [v.representative for v in vertices]
+    product = PoolProduct(space, reps)
     for rank, vertex in enumerate(vertices):
         others = [r for i, r in enumerate(reps) if i != rank]
         rng = np.random.default_rng([params.seed, _FILTER_STREAM, rank])
         drawn = sample_triangles(
-            space, others, params.trials, rng, apex=vertex.representative
+            product, others, params.trials, rng, apex=vertex.representative
         )
         if not drawn:
             raise DegenerateSamplingError(

@@ -3,16 +3,27 @@
 Everything here is plain affine geometry: build an orthonormal 2-d frame
 through three cloud points, drop the whole cloud onto it, and count how
 much of the vocabulary lands inside the triangle and its incircle.
+
+The frame of a triangle lies in the span of its corners, so a word's two
+coordinates are combinations of its products with the corners. When many
+triangles share a pool of corner words, ``PoolProduct`` takes those
+products once, as one N x V matrix of the centered cloud against the V
+pool words; each triangle then costs O(N) rather than a pass over the
+N x D cloud. ``project_triple`` is the direct projection, for a single
+triangle. Both build the frame and the 3 x 2 triangle from the corner
+vectors themselves, so they raise the same ``DegenerateTriangleError``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DegenerateTriangleError
+from .pca import centered_product
 
 # A point counts as inside the triangle when all barycentric coordinates
 # are >= -BARYCENTRIC_INSIDE_TOL, so boundaries and vertices are inside.
@@ -33,10 +44,12 @@ class TripleStats:
 
 def _plane_basis(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
     """Orthonormal directions e1, e2 of the plane through a, b and c.
 
-    e1 points along b-a; e2 is the Gram-Schmidt residual of c-a.
+    e1 points along u = b-a; e2 is the Gram-Schmidt residual r of w = c-a.
+    Also returns (|u|, w.e1, |r|): a point p has coordinates
+    x = <p-a, u> / |u| and y = (<p-a, w> - (w.e1) x) / |r|.
     """
     u = b - a
     nu = np.linalg.norm(u)
@@ -47,11 +60,17 @@ def _plane_basis(
     nw = np.linalg.norm(w)
     if nw < 1e-12:
         raise DegenerateTriangleError("the third point coincides with the first")
-    r = w - (w @ e1) * e1
+    t = w @ e1
+    r = w - t * e1
     nr = np.linalg.norm(r)
     if nr < 1e-9 * nw:
         raise DegenerateTriangleError("the three points are nearly collinear")
-    return e1, r / nr
+    return e1, r / nr, (nu, t, nr)
+
+
+def _project(points: np.ndarray, a: np.ndarray, e1: np.ndarray, e2: np.ndarray):
+    shifted = points - a
+    return np.column_stack((shifted @ e1, shifted @ e2))
 
 
 def project_triple(
@@ -66,13 +85,53 @@ def project_triple(
     two shapes, and the reports are pinned to this arithmetic.
     """
     a, b, c = space.vectors[ia], space.vectors[ib], space.vectors[ic]
-    e1, e2 = _plane_basis(a, b, c)
+    e1, e2, _ = _plane_basis(a, b, c)
+    tri2d = _project(np.vstack((a, b, c)), a, e1, e2)
+    return _project(space.vectors, a, e1, e2), tri2d
 
-    def project(points: np.ndarray) -> np.ndarray:
-        shifted = points - a
-        return np.column_stack((shifted @ e1, shifted @ e2))
 
-    return project(space.vectors), project(np.vstack((a, b, c)))
+class PoolProduct:
+    """The centered cloud's products with a pool of its own words, for
+    projecting the cloud onto many triangles over that pool.
+
+    Holds G = (R - mu) (X - mu)^T for the V distinct pool words R, the
+    cloud X and its mean mu. For x in X and corners a, b of a pool
+    triangle, <x-a, b-a> = g_b(x) - g_a(x) - (g_b(a) - g_a(a)), so the
+    frame coordinates of every word follow from three rows of G. Centering
+    keeps the products near the scale of the coordinates, so the
+    cancellation costs little precision.
+    """
+
+    def __init__(self, space: EmbeddingSpace, pool: Sequence[int]):
+        self.space = space
+        words = list(dict.fromkeys(int(w) for w in pool))
+        self._row = {w: j for j, w in enumerate(words)}
+        mean = space.vectors.mean(axis=0)
+        self._products = centered_product(
+            space.vectors, mean, space.vectors[words] - mean
+        )
+
+    def project(self, ia: int, ib: int, ic: int) -> tuple[np.ndarray, np.ndarray]:
+        """``project_triple`` for three pool words, from the products.
+
+        The frame and the triangle come from the corner vectors exactly as
+        in ``project_triple``; the words' coordinates agree with its to
+        rounding.
+        """
+        a, b, c = (self.space.vectors[i] for i in (ia, ib, ic))
+        e1, e2, (nu, t, nr) = _plane_basis(a, b, c)
+        ga, gb, gc = (self._products[self._row[i]] for i in (ia, ib, ic))
+        du = gb - ga
+        du -= du[ia]
+        dw = gc - ga
+        dw -= dw[ia]
+        x = du / nu
+        coords = np.column_stack((x, (dw - t * x) / nr))
+        return coords, _project(np.vstack((a, b, c)), a, e1, e2)
+
+    def triangle_stats(self, ia: int, ib: int, ic: int) -> TripleStats:
+        """``triangle_stats`` for three pool words, from the products."""
+        return _stats(*self.project(ia, ib, ic))
 
 
 def _signed_double_area(tri2d: np.ndarray) -> float:
@@ -148,17 +207,20 @@ def containment(
     return in_tri, center, radius, d2 <= radius * radius
 
 
-def triangle_stats(space: EmbeddingSpace, va: int, vb: int, vc: int) -> TripleStats:
-    """Containment statistics of the whole cloud for one vertex triple.
-
-    Fractions are over all N words, vertices included.
-    """
-    coords, tri2d = project_triple(space, va, vb, vc)
+def _stats(coords: np.ndarray, tri2d: np.ndarray) -> TripleStats:
     in_tri, center, radius, in_circ = containment(coords, tri2d)
-    n = space.n_words
+    n = coords.shape[0]
     return TripleStats(
         inside_triangle_fraction=float(np.count_nonzero(in_tri)) / n,
         outside_incircle_fraction=1.0 - float(np.count_nonzero(in_circ)) / n,
         incenter=(float(center[0]), float(center[1])),
         inradius=float(radius),
     )
+
+
+def triangle_stats(space: EmbeddingSpace, va: int, vb: int, vc: int) -> TripleStats:
+    """Containment statistics of the whole cloud for one vertex triple.
+
+    Fractions are over all N words, vertices included.
+    """
+    return _stats(*project_triple(space, va, vb, vc))

@@ -15,7 +15,9 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 
-_COV_BLOCK_ROWS = 8192
+# Row block size of every product over the cloud. Blocks are fixed, so
+# the thread count cannot change how a sum is split or ordered.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(eq=False)
@@ -42,11 +44,28 @@ def _covariance(vectors: np.ndarray, mean: np.ndarray) -> np.ndarray:
     order so results do not depend on how the work is scheduled."""
     n, d = vectors.shape
     cov = np.zeros((d, d))
-    for start in range(0, n, _COV_BLOCK_ROWS):
-        block = vectors[start : start + _COV_BLOCK_ROWS] - mean
+    for start in range(0, n, _BLOCK_ROWS):
+        block = vectors[start : start + _BLOCK_ROWS] - mean
         cov += block.T @ block
     cov /= n
     return (cov + cov.T) / 2.0
+
+
+def centered_product(
+    vectors: np.ndarray, mean: np.ndarray, directions: np.ndarray
+) -> np.ndarray:
+    """``directions @ (vectors - mean).T``: row i holds the products of
+    every centered cloud point with direction i.
+
+    Built over the same fixed row blocks as the covariance, so the centered
+    cloud is never held whole and the bits do not depend on the thread
+    count.
+    """
+    out = np.empty((directions.shape[0], vectors.shape[0]))
+    for start in range(0, vectors.shape[0], _BLOCK_ROWS):
+        block = vectors[start : start + _BLOCK_ROWS] - mean
+        out[:, start : start + _BLOCK_ROWS] = directions @ block.T
+    return out
 
 
 def fit_pca(space: EmbeddingSpace, num_axes: int) -> PcaModel:

@@ -21,13 +21,14 @@ from . import __version__
 from .embeddings import DEFAULT_MAX_WORDS, EmbeddingSpace, load_embeddings, normalized
 from .extractor import (
     ExtractionParams,
+    check_sample_count,
     describe_vertex,
     filter_false_vertices,
     find_candidates,
     glue_candidates,
     sample_triangles,
 )
-from .geometry import containment, project_triple
+from .geometry import PoolProduct, containment, project_triple
 from .pca import fit_pca, informative_axis_count
 
 # Stream tag for the triple sampler (the false-vertex filter uses tag 0).
@@ -59,6 +60,9 @@ class AnalysisConfig:
     triple_samples: int = 100
     seed: int = ExtractionParams.seed
 
+    def __post_init__(self):
+        check_sample_count(self.triple_samples)
+
 
 @dataclass
 class AnalysisReport:
@@ -82,9 +86,11 @@ def sample_triple_stats(
     """Containment stats for seeded random triples of the given vertices.
 
     Degenerate triples are redrawn, up to 10 x num_samples attempts; fewer
-    than 3 vertices give no triples.
+    than 3 vertices give no triples. All triples are projected through one
+    ``PoolProduct`` over the vertices.
     """
     names = tokens if tokens is not None else [space.words[i] for i in vertex_indices]
+    product = PoolProduct(space, vertex_indices)
     rng = np.random.default_rng([seed, _TRIPLE_STREAM])
     return [
         {
@@ -92,7 +98,7 @@ def sample_triple_stats(
             "inside_triangle_fraction": _round6(stats.inside_triangle_fraction),
             "outside_incircle_fraction": _round6(stats.outside_incircle_fraction),
         }
-        for picks, stats in sample_triangles(space, vertex_indices, num_samples, rng)
+        for picks, stats in sample_triangles(product, vertex_indices, num_samples, rng)
     ]
 
 

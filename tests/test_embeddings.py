@@ -200,6 +200,13 @@ class TestSpace:
         with pytest.raises(ValueError):
             space.vectors[0, 0] = 2.0
 
+    def test_row_norms_are_computed_once_and_read_only(self):
+        space = EmbeddingSpace(words=["a", "b"], vectors=np.array([[3.0, 4.0], [0.0, 0.0]]))
+        assert np.array_equal(space.row_norms, np.linalg.norm(space.vectors, axis=1))
+        assert space.row_norms is space.row_norms
+        with pytest.raises(ValueError):
+            space.row_norms[0] = 1.0
+
     def test_normalized_rows_are_unit(self):
         space = EmbeddingSpace(words=["a", "b", "z"], vectors=np.array(
             [[3.0, 4.0], [0.0, 2.0], [0.0, 0.0]]

@@ -13,9 +13,12 @@ from embshape import (
     fit_pca,
     generate_simplex_cloud,
     glue_candidates,
+    project_onto_axis,
     topk_neighbors,
+    triangle_stats,
 )
-from embshape.extractor import VertexCandidate, glue_by_neighbor_sets
+from embshape.errors import DegenerateTriangleError
+from embshape.extractor import Vertex, VertexCandidate, glue_by_neighbor_sets
 
 
 def _space(vectors):
@@ -88,6 +91,35 @@ class TestFindCandidates:
         cands = find_candidates(cloud.space, pca, first)
         corners = set(cloud.true_vertices)
         assert all(c.word_index in corners for c in cands)
+
+    def test_planted_ties_across_row_blocks_go_to_lowest_index(self):
+        # copies of one far row straddle the 8192-row block boundary and
+        # sit in the last rows; every copy must score the same, so the
+        # lowest index wins
+        rng = np.random.default_rng(11)
+        n = 8192 + 61
+        vectors = rng.standard_normal((n, 12)) * np.linspace(3.0, 1.0, 12)
+        far = rng.standard_normal(12) + np.eye(12)[0] * 40.0
+        near = rng.standard_normal(12) - np.eye(12)[0] * 40.0
+        planted = {8191: far, 8192: far, n - 1: far, 8193: near, n - 3: near, n - 2: near}
+        for i, row in planted.items():
+            vectors[i] = row
+        space = _space(vectors)
+        pca = fit_pca(space, 6)
+        cands = find_candidates(space, pca, 6)
+        picked = {cands[0].word_index, cands[1].word_index}
+        assert picked == {8191, 8193}
+        for i in range(6):
+            # reference: one mat-vec per axis; a mat-vec may round copies
+            # in its tail rows differently, so it must only land on a copy
+            col = project_onto_axis(space, pca, i)
+            for cand, ref in zip(cands[2 * i : 2 * i + 2], (np.argmin(col), np.argmax(col))):
+                if ref in planted:
+                    copies = [j for j in planted if np.array_equal(vectors[j], vectors[ref])]
+                    assert cand.word_index == min(copies)
+                else:
+                    assert cand.word_index == ref
+                assert cand.score == pytest.approx(col[ref], rel=1e-12)
 
     def test_scores_are_the_extreme_projections(self, random_space):
         pca = fit_pca(random_space, 2)
@@ -302,6 +334,33 @@ class TestFilter:
             survivor_sets.append({v.representative for v in survivors})
         for lo, hi in zip(survivor_sets, survivor_sets[1:]):
             assert lo <= hi
+
+    def test_redraws_match_a_reference_loop_over_triangle_stats(self, small_cloud):
+        # two vertices share a word, so some draws are degenerate triangles
+        # and get redrawn; the fractions must equal those of the same
+        # seeded draws projected one by one with triangle_stats
+        space, params, vertices = _pipeline_vertices(small_cloud, trials=7)
+        vertices.append(Vertex(vertices[0].representative, (), ()))
+        filter_false_vertices(space, vertices, params)
+        reps = [v.representative for v in vertices]
+        redraws = 0
+        for rank, vertex in enumerate(vertices):
+            others = [r for i, r in enumerate(reps) if i != rank]
+            rng = np.random.default_rng([params.seed, 0, rank])
+            fractions = []
+            attempts = 0
+            while len(fractions) < params.trials and attempts < 10 * params.trials:
+                attempts += 1
+                picks = rng.choice(len(others), size=2, replace=False)
+                corners = (vertex.representative,) + tuple(others[int(p)] for p in picks)
+                try:
+                    stats = triangle_stats(space, *corners)
+                except DegenerateTriangleError:
+                    redraws += 1
+                    continue
+                fractions.append(1.0 - stats.inside_triangle_fraction)
+            assert vertex.outside_fraction == sum(fractions) / len(fractions)
+        assert redraws > 0
 
     def test_all_degenerate_triples_raise(self):
         # vertices on one line: every sampled triangle is degenerate

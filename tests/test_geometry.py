@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from embshape import (
     DegenerateTriangleError,
     EmbeddingSpace,
     barycentric,
+    generate_simplex_cloud,
     incircle,
     inside_triangle,
     project_triple,
     triangle_stats,
 )
+from embshape.geometry import PoolProduct, containment
 
 
 def _space(vectors):
@@ -287,3 +291,61 @@ class TestTriangleStats:
         tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         edge_mid = np.array([1.0, 1.0])  # on the hypotenuse
         assert inside_triangle(edge_mid, tri)[0]
+
+
+def _assert_engine_matches_direct(product, triple):
+    """PoolProduct gives the triangle of project_triple bit for bit and the
+    same inside-triangle and inside-incircle counts; its word coordinates
+    agree to rounding."""
+    coords, tri2d = project_triple(product.space, *triple)
+    mine, mine_tri = product.project(*triple)
+    assert np.array_equal(mine_tri, tri2d)
+    assert np.abs(mine - coords).max() <= 1e-12 * np.abs(coords).max()
+    in_tri, _, _, in_circ = containment(coords, tri2d)
+    my_in_tri, _, _, my_in_circ = containment(mine, mine_tri)
+    assert np.count_nonzero(my_in_tri) == np.count_nonzero(in_tri)
+    assert np.count_nonzero(my_in_circ) == np.count_nonzero(in_circ)
+
+
+class TestPoolProduct:
+    SYNTH = dict(dim=50, num_vertices=12, num_points=20_000, alpha=1.5, seed=1)
+
+    def test_all_220_true_triples_of_the_reference_cloud(self):
+        cloud = generate_simplex_cloud(sigma=0.0, **self.SYNTH)
+        corners = cloud.true_vertices
+        product = PoolProduct(cloud.space, corners)
+        triples = list(itertools.combinations(corners, 3))
+        assert len(triples) == 220
+        for triple in triples:
+            _assert_engine_matches_direct(product, triple)
+
+    def test_random_triples_of_a_noisy_cloud(self):
+        cloud = generate_simplex_cloud(sigma=0.01, **self.SYNTH)
+        rng = np.random.default_rng(21)
+        others = rng.choice(cloud.space.n_words, size=20, replace=False)
+        pool = list(cloud.true_vertices) + [int(w) for w in others]
+        product = PoolProduct(cloud.space, pool)
+        for _ in range(200):
+            triple = [pool[int(p)] for p in rng.choice(len(pool), 3, replace=False)]
+            _assert_engine_matches_direct(product, triple)
+
+    def test_repeated_pool_words_share_one_row(self):
+        rng = np.random.default_rng(22)
+        space = _space(rng.standard_normal((300, 8)))
+        product = PoolProduct(space, [5, 9, 5, 40, 9])
+        assert product._products.shape == (3, 300)
+        _assert_engine_matches_direct(product, (40, 5, 9))
+        assert product.triangle_stats(40, 5, 9) == triangle_stats(space, 40, 5, 9)
+
+    @pytest.mark.parametrize(
+        "vectors,match",
+        [
+            ([(0.0, 0, 0), (0, 0, 0), (1, 0, 0)], "first two points coincide"),
+            ([(0.0, 0, 0), (1, 0, 0), (0, 0, 0)], "coincides with the first"),
+            ([(0.0, 0, 0), (1, 0, 0), (2, 1e-12, 0)], "nearly collinear"),
+        ],
+    )
+    def test_degenerate_triangles_raise_as_in_project_triple(self, vectors, match):
+        product = PoolProduct(_space(vectors), [0, 1, 2])
+        with pytest.raises(DegenerateTriangleError, match=match):
+            product.project(0, 1, 2)

@@ -265,11 +265,19 @@ class TestCli:
         [["analyze"], ["stats", "--words", "w000001,w000002,w000003"]],
         ids=["analyze", "stats"],
     )
-    def test_negative_triple_samples_is_an_error(self, cloud_file, capsys, command):
+    def test_negative_triple_samples_is_an_error(self, cloud_file, tmp_path, capsys, command):
         rc = main([command[0], str(cloud_file), *command[1:], "--triple-samples", "-5"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "-5" in err
+        # the count is checked before the input is read: a missing file
+        # gives the same error, not a file error
+        missing = str(tmp_path / "missing.txt")
+        rc = main([command[0], missing, *command[1:], "--triple-samples", "-5"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: triangle sample count must be >= 0, got -5\n"
+        )
 
     def test_stats_needs_three_words(self, cloud_file, capsys):
         rc = main(["stats", str(cloud_file), "--words", "w000001,w000002"])
