@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import sys
@@ -94,9 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=50, help="space dimension (default: %(default)s)")
     p.add_argument("--vertices", type=int, default=12, help="simplex corner count (default: %(default)s)")
     p.add_argument("--points", type=int, default=20_000, help="total cloud size (default: %(default)s)")
-    p.add_argument("--alpha", type=float, default=1.5, help="Dirichlet concentration (default: %(default)s)")
-    p.add_argument("--sigma", type=float, default=0.0, help="Gaussian noise scale (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default: %(default)s)")
+    synth_defaults = inspect.signature(generate_simplex_cloud).parameters
+    p.add_argument("--alpha", type=float, default=synth_defaults["alpha"].default, help="Dirichlet concentration (default: %(default)s)")
+    p.add_argument("--sigma", type=float, default=synth_defaults["sigma"].default, help="Gaussian noise scale (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=synth_defaults["seed"].default, help="generator seed (default: %(default)s)")
     p.add_argument(
         "--irregular",
         action="store_true",

@@ -141,6 +141,61 @@ def _text_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[s
             yield line
 
 
+# Kept rows are converted this many at a time, one np.loadtxt call per block.
+BLOCK_ROWS = 4096
+
+# Characters np.loadtxt strips from the ends of a field as whitespace but
+# float() rejects; a block holding one is converted row by row.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _row_vector(lineno: int, token: str, coords: str) -> np.ndarray:
+    """Convert one row's coordinate string. This is the definition of an
+    accepted row: D fields that ``float()`` accepts, all finite."""
+    try:
+        vec = np.array(coords.split(" "), dtype=np.float64)
+    except ValueError as exc:
+        raise EmbeddingFormatError(
+            "line %d: non-numeric coordinate (%s)" % (lineno, exc)
+        ) from None
+    if not np.isfinite(vec).all():
+        raise EmbeddingFormatError(
+            "line %d: non-finite coordinate for token %r" % (lineno, token)
+        )
+    return vec
+
+
+def _loadtxt_reads_as_float(coords: list[str]) -> bool:
+    text = "".join(coords)
+    return not any(ch in text for ch in _LOADTXT_ONLY_SPACE)
+
+
+def _convert_block(
+    coords: list[str], linenos: list[int], tokens: list[str], dim: int
+) -> np.ndarray:
+    """The rows x ``dim`` matrix of a block of coordinate strings.
+
+    One ``np.loadtxt`` call converts the block. When it raises, returns
+    another shape or a non-finite value, or would see a character that it
+    strips but ``float()`` rejects, the block is rebuilt row by row with
+    ``_row_vector``. That raises the first bad row's error, or loads the
+    strings only ``float()`` accepts (``1_0``, fullwidth digits) as before.
+    """
+    if _loadtxt_reads_as_float(coords):
+        try:
+            block = np.loadtxt(
+                coords, dtype=np.float64, delimiter=" ", comments=None, ndmin=2
+            )
+        except ValueError:
+            pass
+        else:
+            if block.shape == (len(coords), dim) and np.isfinite(block).all():
+                return block
+    return np.vstack(
+        [_row_vector(n, t, c) for n, t, c in zip(linenos, tokens, coords)]
+    )
+
+
 def parse_embeddings(
     source: Union[str, Path, bytes, TextIO, BinaryIO],
     fmt: str | None = None,
@@ -152,72 +207,93 @@ def parse_embeddings(
     token keeps its first vector and does not consume a slot. The dimension
     D comes from the w2v header when present, otherwise from the first data
     row. Every later row needs at least D fields after its token; any
-    fields before its last D belong to the token.
+    fields before its last D belong to the token. One leading byte-order
+    mark is ignored.
+
+    The text streams through: the coordinates of kept rows are converted
+    in blocks of ``BLOCK_ROWS`` rows, and the first error in file order is
+    raised, whatever kind it is.
     """
     if max_words < 1:
         raise ValueError("max_words must be positive")
 
     words: list[str] = []
-    seen: dict[str, int] = {}
-    rows: list[np.ndarray] = []
+    seen: set[str] = set()
+    blocks: list[np.ndarray] = []
+    pending: list[str] = []  # coordinate strings of kept rows not yet converted
+    pending_lines: list[int] = []
     dim: int | None = None
     lineno = 0
     first_data_line = True
 
-    for raw in _text_lines(source):
-        lineno += 1
-        line = raw.rstrip()
-        if not line:
-            continue
-        if first_data_line:
-            first_data_line = False
-            line_fmt = detect_format(line)
-            if fmt is None:
-                fmt = line_fmt
-            if fmt == W2V_TEXT:
-                if line_fmt != W2V_TEXT:
-                    raise EmbeddingFormatError(
-                        "line 1: expected a 'N D' header, got %r" % line[:80]
-                    )
-                dim = int(line.split()[1])
-                continue
-        if dim is None:
-            dim = line.count(" ")
-            if dim == 0:
-                raise EmbeddingFormatError("line %d: no coordinates found" % lineno)
-        parts = line.rsplit(" ", dim)
-        if len(parts) <= dim:
-            raise EmbeddingFormatError(
-                "line %d: expected %d coordinates, found %d"
-                % (lineno, dim, len(parts) - 1)
-            )
-        token, coords = parts[0], parts[1:]
-        if token in seen:
-            log.warning(
-                "line %d: duplicate token %r, keeping first occurrence",
-                lineno,
-                token,
-            )
-            continue
-        try:
-            vec = np.array(coords, dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingFormatError(
-                "line %d: non-numeric coordinate (%s)" % (lineno, exc)
-            ) from None
-        if not np.isfinite(vec).all():
-            raise EmbeddingFormatError(
-                "line %d: non-finite coordinate for token %r" % (lineno, token)
-            )
-        seen[token] = len(words)
-        words.append(token)
-        rows.append(vec)
-        if len(words) >= max_words:
-            break
+    def convert_pending() -> None:
+        nonlocal pending, pending_lines
+        if pending:
+            coords, linenos = pending, pending_lines
+            pending, pending_lines = [], []
+            tokens = words[len(words) - len(coords) :]
+            blocks.append(_convert_block(coords, linenos, tokens, dim))
 
-    if not rows:
+    failure = None
+    try:
+        for raw in _text_lines(source):
+            lineno += 1
+            if lineno == 1:
+                raw = raw.removeprefix("\ufeff")
+            line = raw.rstrip()
+            if not line:
+                continue
+            if first_data_line:
+                first_data_line = False
+                line_fmt = detect_format(line)
+                if fmt is None:
+                    fmt = line_fmt
+                if fmt == W2V_TEXT:
+                    if line_fmt != W2V_TEXT:
+                        raise EmbeddingFormatError(
+                            "line 1: expected a 'N D' header, got %r" % line[:80]
+                        )
+                    dim = int(line.split()[1])
+                    continue
+            spaces = line.count(" ")
+            if dim is None:
+                dim = spaces
+                if dim == 0:
+                    raise EmbeddingFormatError("line %d: no coordinates found" % lineno)
+            if spaces == dim:
+                cut = line.index(" ")
+            elif spaces > dim:
+                cut = len(line.rsplit(" ", dim)[0])
+            else:
+                raise EmbeddingFormatError(
+                    "line %d: expected %d coordinates, found %d"
+                    % (lineno, dim, spaces)
+                )
+            token = line[:cut]
+            if token in seen:
+                log.warning(
+                    "line %d: duplicate token %r, keeping first occurrence",
+                    lineno,
+                    token,
+                )
+                continue
+            seen.add(token)
+            words.append(token)
+            pending.append(line[cut + 1 :])
+            pending_lines.append(lineno)
+            if len(pending) == BLOCK_ROWS:
+                convert_pending()
+            if len(words) >= max_words:
+                break
+    except EmbeddingFormatError as exc:
+        failure = exc
+    convert_pending()  # a bad row before a failing line is reported first
+    if failure is not None:
+        raise failure
+
+    if not blocks:
         raise EmbeddingFormatError("no data rows found in input")
-    return EmbeddingSpace(words=words, vectors=np.vstack(rows))
+    return EmbeddingSpace(words=words, vectors=np.concatenate(blocks))
 
 
 def load_embeddings(

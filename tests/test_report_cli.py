@@ -13,6 +13,7 @@ from embshape import (
     analyze_space,
     emit_projection,
     emit_report,
+    format_glove_text,
     generate_simplex_cloud,
     project_triple,
     run_analysis,
@@ -198,6 +199,13 @@ class TestCli:
         assert out.exists()
         truth = json.loads((tmp_path / "cloud.txt.truth.json").read_text())
         assert len(truth["vertex_tokens"]) == 4
+
+    def test_synth_defaults_are_the_generator_defaults(self, tmp_path):
+        out = tmp_path / "cloud.txt"
+        rc = main(["synth", "--dim", "6", "--vertices", "4", "--points", "50", "-o", str(out)])
+        assert rc == 0
+        cloud = generate_simplex_cloud(dim=6, num_vertices=4, num_points=50)
+        assert out.read_text() == format_glove_text(cloud.space)
 
     def test_analyze_emits_json(self, cloud_file, capsysbinary):
         rc = main(["analyze", str(cloud_file), "--triple-samples", "10"])
