@@ -29,6 +29,7 @@ from .report import (
     run_analysis,
     sample_triple_stats,
 )
+from .stages import StageTimer
 from .synthetic import generate_simplex_cloud, write_ground_truth
 
 
@@ -83,6 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple-samples", type=int, default=AnalysisConfig.triple_samples, help="random triples for the report aggregates (default: %(default)s)")
     p.add_argument("--seed", type=int, default=AnalysisConfig.seed, help="seed for all random draws (default: %(default)s)")
     p.add_argument("--format", choices=["json", "text"], default="json", help="report format (default: %(default)s)")
+    p.add_argument(
+        "--timings",
+        default=None,
+        metavar="PATH",
+        help="also write the wall seconds and work counts of each stage as JSON to PATH",
+    )
 
     p = sub.add_parser("project", help="project the cloud onto one vertex triple")
     _add_input_options(p)
@@ -164,8 +171,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         triple_samples=args.triple_samples,
         seed=args.seed,
     )
-    report = run_analysis(config)
-    _write_bytes(emit_report(report, args.format), args.out)
+    timer = StageTimer()
+    report = run_analysis(config, timer)
+    with timer.stage("emit"):
+        _write_bytes(emit_report(report, args.format), args.out)
+    if args.timings:
+        timer.write(args.timings)
     return 0
 
 

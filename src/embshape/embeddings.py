@@ -108,10 +108,10 @@ _LONE_CR_END = re.compile(rb"(?<=\r)(?!\n)")
 def _text_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[str]:
     """The lines of ``source`` as text.
 
-    Files and binary streams end lines at LF, CRLF or a lone CR; ``bytes``
-    end them at LF only, and text streams as they iterate. Bytes are
-    decoded one line at a time, so invalid UTF-8 is reported with the
-    number of the line that holds it.
+    Files, binary streams and ``bytes`` end lines at LF, CRLF or a lone
+    CR; text streams end them as they iterate. Bytes are decoded one line
+    at a time, so invalid UTF-8 is reported with the number of the line
+    that holds it.
     """
     if isinstance(source, io.TextIOBase):
         yield from source
@@ -120,12 +120,11 @@ def _text_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[s
         with open(source, "rb") as fh:
             yield from _text_lines(fh)
         return
-    lone_cr_ends_line = not isinstance(source, bytes)
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     lineno = 0
     for chunk in source:
-        if lone_cr_ends_line and b"\r" in chunk:
+        if b"\r" in chunk:
             raws = [r for r in _LONE_CR_END.split(chunk) if r]
         else:
             raws = (chunk,)
@@ -212,14 +211,18 @@ def parse_embeddings(
 
     The text streams through: the coordinates of kept rows are converted
     in blocks of ``BLOCK_ROWS`` rows, and the first error in file order is
-    raised, whatever kind it is.
+    raised, whatever kind it is. Each converted block is appended to one
+    matrix that grows in place, so the rows are held once: blocks kept
+    apart and copied together at the end would double the peak, and
+    freeing each after its copy does not help, as the C heap keeps the
+    freed blocks resident.
     """
     if max_words < 1:
         raise ValueError("max_words must be positive")
 
     words: list[str] = []
     seen: set[str] = set()
-    blocks: list[np.ndarray] = []
+    vectors = np.empty((0, 0))
     pending: list[str] = []  # coordinate strings of kept rows not yet converted
     pending_lines: list[int] = []
     dim: int | None = None
@@ -232,7 +235,11 @@ def parse_embeddings(
             coords, linenos = pending, pending_lines
             pending, pending_lines = [], []
             tokens = words[len(words) - len(coords) :]
-            blocks.append(_convert_block(coords, linenos, tokens, dim))
+            block = _convert_block(coords, linenos, tokens, dim)
+            rows = len(vectors)
+            # a realloc: large buffers grow by remapping, not by copying
+            vectors.resize((rows + len(block), dim), refcheck=False)
+            vectors[rows:] = block
 
     failure = None
     try:
@@ -291,9 +298,9 @@ def parse_embeddings(
     if failure is not None:
         raise failure
 
-    if not blocks:
+    if not words:
         raise EmbeddingFormatError("no data rows found in input")
-    return EmbeddingSpace(words=words, vectors=np.concatenate(blocks))
+    return EmbeddingSpace(words=words, vectors=vectors)
 
 
 def load_embeddings(

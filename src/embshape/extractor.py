@@ -19,6 +19,7 @@ from .embeddings import EmbeddingSpace
 from .errors import DegenerateSamplingError, DegenerateTriangleError
 from .geometry import PoolProduct, TripleStats
 from .pca import PcaModel, centered_product
+from . import stages
 
 log = logging.getLogger(__name__)
 
@@ -50,13 +51,15 @@ class Vertex:
 
     ``representative`` is the word of the member coming from the lowest
     axis (min end before max end on ties). ``neighbor_set`` is the ranked
-    top-K neighborhood of the representative; ``outside_fraction`` stays
-    NaN until the false-vertex filter has run.
+    top-K neighborhood of the representative and ``neighbor_sims`` their
+    cosine similarities, which ``describe_vertex`` reads when it can;
+    ``outside_fraction`` stays NaN until the false-vertex filter has run.
     """
 
     representative: int
     members: tuple[VertexCandidate, ...]
     neighbor_set: tuple[int, ...]
+    neighbor_sims: tuple[float, ...] = ()
     outside_fraction: float = field(default=math.nan)
 
 
@@ -143,7 +146,9 @@ def topk_neighbors(
     """Exact top-k vocabulary words by cosine similarity to ``query``.
 
     Descending similarity, ties broken by lower word index; zero-norm rows
-    are defined to have similarity 0 and always rank last.
+    are defined to have similarity 0 and always rank last. Only the rows
+    at or above the k-th similarity are sorted, unless k reaches past the
+    nonzero rows.
     """
     query = np.asarray(query, dtype=np.float64)
     qnorm = np.linalg.norm(query)
@@ -151,12 +156,21 @@ def topk_neighbors(
         raise ValueError("query vector has zero norm")
     if not 1 <= k <= space.n_words:
         raise ValueError("k must be in [1, %d], got %d" % (space.n_words, k))
+    stages.count("neighbor_queries")
     norms = space.row_norms
     zero = norms == 0.0
     sims = (space.vectors @ query) / (np.where(zero, 1.0, norms) * qnorm)
     sims[zero] = 0.0
-    order = np.lexsort((np.arange(space.n_words), -sims, zero))
-    top = order[:k]
+    nonzero = np.flatnonzero(~zero)
+    if k >= len(nonzero):
+        top = np.lexsort((np.arange(space.n_words), -sims, zero))[:k]
+    else:
+        neg = -sims[nonzero]
+        kth = np.partition(neg, k - 1)[k - 1]
+        # every row tied with the k-th; ~(>) also keeps NaN rows, which
+        # sort last, and keeps them all when the k-th itself is NaN
+        rows = nonzero[~(neg > kth)]
+        top = rows[np.lexsort((rows, -sims[rows]))][:k]
     return [(int(i), float(sims[i])) for i in top]
 
 
@@ -193,12 +207,15 @@ def glue_candidates(
     """
     if not candidates:
         raise ValueError("no candidates to glue")
-    ranked_by_word: dict[int, tuple[int, ...]] = {}
+    ranked_by_word: dict[int, list[tuple[int, float]]] = {}
     for cand in candidates:
         if cand.word_index not in ranked_by_word:
-            ranked = topk_neighbors(space, space.vectors[cand.word_index], params.k)
-            ranked_by_word[cand.word_index] = tuple(i for i, _ in ranked)
-    sets = [frozenset(ranked_by_word[c.word_index]) for c in candidates]
+            ranked_by_word[cand.word_index] = topk_neighbors(
+                space, space.vectors[cand.word_index], params.k
+            )
+    sets = [
+        frozenset(i for i, _ in ranked_by_word[c.word_index]) for c in candidates
+    ]
 
     vertices: list[Vertex] = []
     for component in glue_by_neighbor_sets(sets, params.glue_threshold):
@@ -209,11 +226,13 @@ def glue_candidates(
             )
         )
         rep = members[0].word_index
+        neighbors, sims = zip(*ranked_by_word[rep])
         vertices.append(
             Vertex(
                 representative=rep,
                 members=members,
-                neighbor_set=ranked_by_word[rep],
+                neighbor_set=neighbors,
+                neighbor_sims=sims,
             )
         )
     vertices.sort(key=lambda v: (v.members[0].axis_index, v.members[0].end_rank))
@@ -257,7 +276,9 @@ def sample_triangles(
         try:
             stats = product.triangle_stats(*corners)
         except DegenerateTriangleError:
+            stages.count("redraws")
             continue
+        stages.count("triangles")
         drawn.append((picks, stats))
     return drawn
 
@@ -307,9 +328,17 @@ def filter_false_vertices(
 def describe_vertex(
     space: EmbeddingSpace, vertex: Vertex, k_desc: int = 5
 ) -> list[tuple[str, float]]:
-    """Top words describing a vertex: its nearest neighbors by cosine."""
+    """Top words describing a vertex: its nearest neighbors by cosine.
+
+    The first ``k_desc`` entries of the ranking glue stored on the vertex
+    are the answer when it holds that many; otherwise the representative
+    is queried. Either way the pairs are those of ``topk_neighbors``.
+    """
     if k_desc < 1:
         raise ValueError("k_desc must be >= 1")
     k = min(k_desc, space.n_words)
-    ranked = topk_neighbors(space, space.vectors[vertex.representative], k)
+    if len(vertex.neighbor_sims) >= k:
+        ranked = zip(vertex.neighbor_set[:k], vertex.neighbor_sims[:k])
+    else:
+        ranked = topk_neighbors(space, space.vectors[vertex.representative], k)
     return [(space.words[i], sim) for i, sim in ranked]

@@ -150,30 +150,37 @@ def _check_nondegenerate(tri2d: np.ndarray) -> float:
     return det
 
 
+def _barycentric_weights(
+    points: np.ndarray, tri2d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three barycentric weights of a batch of 2-d points, as 1-d
+    arrays (one point of shape (2,) counts as a batch of one)."""
+    tri2d = np.asarray(tri2d, dtype=np.float64)
+    det = _check_nondegenerate(tri2d)
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    (x1, y1), (x2, y2), (x3, y3) = tri2d
+    dx = p[:, 0] - x3
+    dy = p[:, 1] - y3
+    l1 = ((y2 - y3) * dx + (x3 - x2) * dy) / det
+    l2 = ((y3 - y1) * dx + (x1 - x3) * dy) / det
+    return l1, l2, 1.0 - l1 - l2
+
+
 def barycentric(points: np.ndarray, tri2d: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of 2-d point(s) w.r.t. a triangle.
 
     Accepts one point of shape (2,) or a batch of shape (n, 2); the result
     has a matching shape with 3 weights summing to 1 per point.
     """
-    tri2d = np.asarray(tri2d, dtype=np.float64)
-    det = _check_nondegenerate(tri2d)
-    p = np.asarray(points, dtype=np.float64)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
-    (x1, y1), (x2, y2), (x3, y3) = tri2d
-    dx = p[:, 0] - x3
-    dy = p[:, 1] - y3
-    l1 = ((y2 - y3) * dx + (x3 - x2) * dy) / det
-    l2 = ((y3 - y1) * dx + (x1 - x3) * dy) / det
-    lam = np.column_stack((l1, l2, 1.0 - l1 - l2))
-    return lam[0] if single else lam
+    lam = np.column_stack(_barycentric_weights(points, tri2d))
+    return lam[0] if np.ndim(points) == 1 else lam
 
 
 def inside_triangle(points: np.ndarray, tri2d: np.ndarray) -> np.ndarray:
     """Boolean mask of points inside the triangle (boundary counts)."""
-    lam = np.atleast_2d(barycentric(points, tri2d))
-    return lam.min(axis=1) >= -BARYCENTRIC_INSIDE_TOL
+    l1, l2, l3 = _barycentric_weights(points, tri2d)
+    floor = -BARYCENTRIC_INSIDE_TOL
+    return (l1 >= floor) & (l2 >= floor) & (l3 >= floor)
 
 
 def incircle(tri2d: np.ndarray) -> tuple[np.ndarray, float]:

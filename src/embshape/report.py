@@ -30,6 +30,7 @@ from .extractor import (
 )
 from .geometry import PoolProduct, containment, project_triple
 from .pca import fit_pca, informative_axis_count
+from .stages import StageTimer
 
 # Stream tag for the triple sampler (the false-vertex filter uses tag 0).
 _TRIPLE_STREAM = 1
@@ -121,15 +122,21 @@ def aggregate_triple_stats(entries: list[dict]) -> dict:
 
 
 def analyze_space(
-    space: EmbeddingSpace, config: AnalysisConfig, source: str
+    space: EmbeddingSpace,
+    config: AnalysisConfig,
+    source: str,
+    timer: StageTimer | None = None,
 ) -> AnalysisReport:
-    """Run the extraction pipeline on an in-memory space."""
+    """Run the extraction pipeline on an in-memory space, timing its
+    stages on ``timer`` (a fresh one by default)."""
+    timer = timer or StageTimer()
     warnings: list[str] = []
     m_requested = min(config.axes, space.dim)
-    pca = fit_pca(space, m_requested)
-    # Axes whose eigenvalue does not beat the mean eigenvalue are noise
-    # floor; their extremes are arbitrary points, not corners.
-    m_used = informative_axis_count(pca, m_requested)
+    with timer.stage("pca"):
+        pca = fit_pca(space, m_requested)
+        # Axes whose eigenvalue does not beat the mean eigenvalue are noise
+        # floor; their extremes are arbitrary points, not corners.
+        m_used = informative_axis_count(pca, m_requested)
     if m_used < m_requested:
         warnings.append(
             "dropped %d of %d axes at or below the mean-eigenvalue noise floor"
@@ -144,19 +151,23 @@ def analyze_space(
         tau=config.tau,
         seed=config.seed,
     )
-    candidates = find_candidates(space, pca, m_used)
-    vertices = glue_candidates(space, candidates, params)
+    with timer.stage("candidates"):
+        candidates = find_candidates(space, pca, m_used)
+    with timer.stage("glue"):
+        vertices = glue_candidates(space, candidates, params)
     if len(vertices) < 3:
         warnings.append("fewer than 3 vertices; false-vertex filter skipped")
-    survivors = filter_false_vertices(space, vertices, params)
+    with timer.stage("filter"):
+        survivors = filter_false_vertices(space, vertices, params)
     survivor_ids = {id(v) for v in survivors}
     rejected = [v for v in vertices if id(v) not in survivor_ids]
 
+    with timer.stage("describe"):
+        descriptions = [describe_vertex(space, v) for v in survivors]
     vertex_entries = []
-    for v in survivors:
+    for v, described in zip(survivors, descriptions):
         description = [
-            {"token": tok, "similarity": _round6(sim)}
-            for tok, sim in describe_vertex(space, v)
+            {"token": tok, "similarity": _round6(sim)} for tok, sim in described
         ]
         vertex_entries.append(
             {
@@ -177,9 +188,10 @@ def analyze_space(
     ]
 
     reps = [v.representative for v in survivors]
-    triple_sample = sample_triple_stats(
-        space, reps, config.triple_samples, config.seed
-    )
+    with timer.stage("triples"):
+        triple_sample = sample_triple_stats(
+            space, reps, config.triple_samples, config.seed
+        )
     if len(survivors) < 3:
         warnings.append("fewer than 3 surviving vertices; no triples sampled")
 
@@ -208,12 +220,17 @@ def analyze_space(
     )
 
 
-def run_analysis(config: AnalysisConfig) -> AnalysisReport:
-    """Load the input file and run the full pipeline on it."""
-    space = load_embeddings(config.input_path, max_words=config.max_words)
-    if config.normalize:
-        space = normalized(space)
-    return analyze_space(space, config, source=config.input_path)
+def run_analysis(
+    config: AnalysisConfig, timer: StageTimer | None = None
+) -> AnalysisReport:
+    """Load the input file and run the full pipeline on it. The parse
+    stage includes the optional normalization."""
+    timer = timer or StageTimer()
+    with timer.stage("parse"):
+        space = load_embeddings(config.input_path, max_words=config.max_words)
+        if config.normalize:
+            space = normalized(space)
+    return analyze_space(space, config, source=config.input_path, timer=timer)
 
 
 def emit_report(report: AnalysisReport, fmt: str = "json") -> bytes:

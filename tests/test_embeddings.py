@@ -212,14 +212,14 @@ class TestParse:
         assert space.words == ["a", "b"]
         assert np.array_equal(space.vectors, [[1.0, 0.0], [0.0, 1.0]])
 
-    def test_lone_cr_ends_a_line_in_files_and_binary_streams(self, tmp_path):
+    def test_lone_cr_ends_a_line_in_files_bytes_and_binary_streams(self, tmp_path):
         good = b"a 1 0\rb 0 1\r\nc 1 1\r"
         bad = good + b"\xff 2 2\r"
         (tmp_path / "good.txt").write_bytes(good)
         (tmp_path / "bad.txt").write_bytes(bad)
-        for source in (io.BytesIO(good), tmp_path / "good.txt"):
+        for source in (good, io.BytesIO(good), tmp_path / "good.txt"):
             assert parse_embeddings(source, max_words=5).words == ["a", "b", "c"]
-        for source in (io.BytesIO(bad), tmp_path / "bad.txt"):
+        for source in (bad, io.BytesIO(bad), tmp_path / "bad.txt"):
             with pytest.raises(EmbeddingFormatError, match="line 4: invalid UTF-8"):
                 parse_embeddings(source, max_words=5)
 
@@ -445,8 +445,9 @@ class TestAgainstReference:
         stream=st.booleans(),
     )
     def test_same_words_vectors_and_errors(self, file, block_rows, stream):
+        # bytes and a binary stream of the same bytes must load alike
         data, max_words = file
-        source = (lambda: io.BytesIO(data)) if stream else (lambda: data)
-        expected = _outcome(reference_parse_embeddings, source(), max_words)
+        source = io.BytesIO(data) if stream else data
+        expected = _outcome(reference_parse_embeddings, io.BytesIO(data), max_words)
         with mock.patch.object(embeddings, "BLOCK_ROWS", block_rows):
-            assert _outcome(parse_embeddings, source(), max_words) == expected
+            assert _outcome(parse_embeddings, source, max_words) == expected

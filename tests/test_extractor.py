@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from embshape import (
     topk_neighbors,
     triangle_stats,
 )
+from embshape import extractor
 from embshape.errors import DegenerateTriangleError
 from embshape.extractor import Vertex, VertexCandidate, glue_by_neighbor_sets
 
@@ -26,6 +28,11 @@ def _space(vectors):
     return EmbeddingSpace(
         words=["w%d" % i for i in range(len(vectors))], vectors=vectors
     )
+
+
+def _bits(ranked):
+    """(index, similarity) pairs with the similarity's exact bits."""
+    return [(i, float(s).hex()) for i, s in ranked]
 
 
 def brute_force_extremes(space, pca, num_axes):
@@ -404,6 +411,33 @@ class TestDescribe:
         ]
         oracle = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:10]
         assert [random_space.words[i] for i in oracle] == [t for t, _ in desc]
+
+    def test_stored_ranking_gives_the_query_pairs_bit_for_bit(self, small_cloud):
+        space, params, vertices = _pipeline_vertices(small_cloud)
+        for v in vertices:
+            assert len(v.neighbor_sims) == len(v.neighbor_set) == params.k
+            queried = dataclasses.replace(v, neighbor_sims=())
+            for k_desc in (1, 5, params.k, params.k + 1):
+                stored = describe_vertex(space, v, k_desc)
+                fresh = describe_vertex(space, queried, k_desc)
+                assert _bits(stored) == _bits(fresh)
+                assert len(stored) == k_desc
+
+    def test_a_short_stored_ranking_is_not_used(self, random_space, monkeypatch):
+        v = glue_candidates(
+            random_space,
+            [VertexCandidate(word_index=3, axis_index=0, end="max", score=1.0)],
+            ExtractionParams(num_axes=1, k=4),
+        )[0]
+        calls = []
+        real = extractor.topk_neighbors
+        monkeypatch.setattr(
+            extractor, "topk_neighbors", lambda *a: calls.append(a) or real(*a)
+        )
+        describe_vertex(random_space, v, 4)
+        assert calls == []
+        assert len(describe_vertex(random_space, v, 5)) == 5
+        assert len(calls) == 1
 
 
 class TestExtractionParams:

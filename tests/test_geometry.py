@@ -15,7 +15,7 @@ from embshape import (
     project_triple,
     triangle_stats,
 )
-from embshape.geometry import PoolProduct, containment
+from embshape.geometry import BARYCENTRIC_INSIDE_TOL, PoolProduct, containment
 
 
 def _space(vectors):
@@ -201,6 +201,71 @@ class TestBarycentric:
         tri = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(DegenerateTriangleError):
             barycentric(np.array([0.5, 0.5]), tri)
+
+
+# Weights at, and just either side of, the inside tolerance and the edges.
+_edge_weight = st.sampled_from(
+    [0.0, -0.0, 1e-9, -1e-9, -1e-9 * (1 + 2**-30), -1e-9 * (1 - 2**-30), -2e-9]
+)
+_coordinate = st.floats(min_value=-100, max_value=100)
+
+
+@st.composite
+def _triangle_and_points(draw):
+    tri = np.array(draw(st.lists(_coordinate, min_size=6, max_size=6))).reshape(3, 2)
+    n = draw(st.integers(min_value=1, max_value=30))
+    points = []
+    for _ in range(n):
+        weights = draw(
+            st.lists(
+                st.one_of(_edge_weight, st.floats(min_value=-0.5, max_value=1.5)),
+                min_size=2,
+                max_size=2,
+            )
+        )
+        corner = draw(st.permutations([0, 1, 2]))
+        w = np.zeros(3)
+        w[corner[0]], w[corner[1]] = weights
+        w[corner[2]] = 1.0 - weights[0] - weights[1]
+        points.append(w @ tri)
+    return tri, np.array(points)
+
+
+class TestInsideTriangleMask:
+    """The 1-d weight masks equal the min over the stacked weights."""
+
+    @staticmethod
+    def _reference(points, tri):
+        return barycentric(points, tri).min(axis=1) >= -BARYCENTRIC_INSIDE_TOL
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_triangle_and_points())
+    def test_masks_equal_the_stacked_minimum(self, case):
+        tri, points = case
+        try:
+            expected = self._reference(points, tri)
+        except DegenerateTriangleError:
+            with pytest.raises(DegenerateTriangleError):
+                inside_triangle(points, tri)
+            return
+        mask = inside_triangle(points, tri)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, expected)
+        assert np.array_equal(containment(points, tri)[0], expected)
+
+    def test_points_either_side_of_the_tolerance(self):
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        # below the edge y = 0 by about 1e-9, i.e. weight l3 = y near -1e-9
+        ys = -1e-9 * np.array([0.5, 1 - 2**-20, 1.0, 1 + 2**-20, 2.0])
+        points = np.column_stack((np.full_like(ys, 0.25), ys))
+        expected = self._reference(points, tri)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(inside_triangle(points, tri), expected)
+
+    def test_a_single_point_gives_a_mask_of_one(self):
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert inside_triangle(np.array([0.2, 0.2]), tri).tolist() == [True]
+        assert inside_triangle(np.array([0.9, 0.9]), tri).tolist() == [False]
 
 
 class TestIncircle:

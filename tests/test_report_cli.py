@@ -17,9 +17,11 @@ from embshape import (
     generate_simplex_cloud,
     project_triple,
     run_analysis,
+    topk_neighbors,
     write_glove_text,
 )
 from embshape.cli import main
+from embshape.stages import StageTimer
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +229,55 @@ class TestCli:
                    "-o", str(out)])
         assert rc == 0
         json.loads(out.read_text())
+
+    def test_work_is_counted_only_inside_a_timed_stage(self, small_cloud):
+        space = small_cloud.space
+        topk_neighbors(space, space.vectors[0], 3)  # no stage: not counted
+        timer = StageTimer()
+        with timer.stage("glue"):
+            topk_neighbors(space, space.vectors[0], 3)
+        with timer.stage("describe"):
+            pass
+        assert timer.stages["glue"]["neighbor_queries"] == 1
+        assert timer.stages["describe"]["neighbor_queries"] == 0
+        assert timer.as_dict()["total"]["neighbor_queries"] == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_timings_leave_the_report_bytes_alone(self, cloud_file, tmp_path, fmt):
+        args = ["analyze", str(cloud_file), "--triple-samples", "30", "--format", fmt]
+        plain, timed = tmp_path / "plain", tmp_path / "timed"
+        timings = tmp_path / "timings.json"
+        assert main(args + ["-o", str(plain)]) == 0
+        assert main(args + ["-o", str(timed), "--timings", str(timings)]) == 0
+        assert timed.read_bytes() == plain.read_bytes()
+
+        data = json.loads(timings.read_text())
+        stages = data["stages"]
+        assert list(stages) == [
+            "parse", "pca", "candidates", "glue", "filter", "describe",
+            "triples", "emit",
+        ]
+        assert all(s["seconds"] >= 0.0 for s in stages.values())
+        # one query per unique candidate word; the descriptions reuse them
+        assert stages["glue"]["neighbor_queries"] > 0
+        assert stages["describe"]["neighbor_queries"] == 0
+        assert stages["triples"]["triangles"] == 30
+        assert stages["filter"]["triangles"] > 0
+        for kind in ("neighbor_queries", "triangles", "redraws"):
+            assert data["total"][kind] == sum(s[kind] for s in stages.values())
+
+    def test_timing_counts_are_deterministic(self, cloud_file, tmp_path):
+        counts = []
+        for run in range(2):
+            path = tmp_path / ("timings%d.json" % run)
+            args = ["analyze", str(cloud_file), "--k", "3", "-o", str(tmp_path / "r")]
+            assert main(args + ["--timings", str(path)]) == 0
+            stages = json.loads(path.read_text())["stages"]
+            counts.append({n: {k: v for k, v in s.items() if k != "seconds"}
+                           for n, s in stages.items()})
+        assert counts[0] == counts[1]
+        # a top-3 glue ranking is too short for a 5-word description
+        assert counts[0]["describe"]["neighbor_queries"] > 0
 
     def test_project_csv(self, cloud_file, capsysbinary):
         rc = main([
