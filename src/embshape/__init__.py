@@ -6,6 +6,15 @@ them with a triangle-projection convexity test, and reports containment
 statistics and 2-d projections.
 """
 
+import os
+
+# OpenBLAS worker threads spin for about 2^28 cycles after each threaded
+# call, on the CPUs that the single-threaded kernels between those calls
+# need. 4 is the shortest wait OpenBLAS accepts. It is read when numpy loads
+# OpenBLAS, so it is set before the first numpy import; a value the user
+# set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 __version__ = "0.1.0"
 
 from .embeddings import (

@@ -2,7 +2,8 @@
 
 ``StageTimer.stage(name)`` times a block and makes it the stage that
 ``count`` charges: neighbor queries, triangles whose containment was
-computed, and degenerate draws that were redrawn. The counts are
+computed, degenerate draws that were redrawn, and parsed blocks of rows,
+converted whole or rebuilt row by row. The counts are
 deterministic for a given input, flags and seed. Outside a timed stage
 ``count`` does nothing. None of it enters a report.
 """
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
-_WORK_KINDS = ("neighbor_queries", "triangles", "redraws")
+_WORK_KINDS = ("neighbor_queries", "triangles", "redraws", "blocks", "row_fallbacks")
 
 _current_stage: ContextVar[dict | None] = ContextVar("current_stage", default=None)
 

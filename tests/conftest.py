@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -10,6 +11,15 @@ import numpy as np
 import pytest
 
 from embshape import EmbeddingSpace, generate_simplex_cloud
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fail a test that leaves a child process running, such as a parse
+    helper that was not joined."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, "child processes left running: %r" % left
 
 
 @pytest.fixture(scope="session")

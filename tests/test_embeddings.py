@@ -1,7 +1,12 @@
 import io
+import json
 import logging
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
-from typing import BinaryIO, TextIO, Union
+from typing import BinaryIO, Iterator, TextIO, Union
 from unittest import mock
 
 import numpy as np
@@ -18,9 +23,49 @@ from embshape import (
     parse_embeddings,
 )
 from embshape import embeddings
-from embshape.embeddings import BLOCK_ROWS, DEFAULT_MAX_WORDS, W2V_TEXT, _text_lines
+from embshape.embeddings import BLOCK_ROWS, DEFAULT_MAX_WORDS, W2V_TEXT
+from embshape.stages import StageTimer
 
 log = logging.getLogger("embshape.embeddings")
+
+
+# The line reader of the per-line parser below, kept with it unchanged.
+_LONE_CR_END = re.compile(rb"(?<=\r)(?!\n)")
+
+
+def _text_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[str]:
+    """The lines of ``source`` as text.
+
+    Files, binary streams and ``bytes`` end lines at LF, CRLF or a lone
+    CR; text streams end them as they iterate. Bytes are decoded one line
+    at a time, so invalid UTF-8 is reported with the number of the line
+    that holds it.
+    """
+    if isinstance(source, io.TextIOBase):
+        yield from source
+        return
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield from _text_lines(fh)
+        return
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    lineno = 0
+    for chunk in source:
+        if b"\r" in chunk:
+            raws = [r for r in _LONE_CR_END.split(chunk) if r]
+        else:
+            raws = (chunk,)
+        for raw in raws:
+            lineno += 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EmbeddingFormatError(
+                    "line %d: invalid UTF-8 at byte %d of the line (%s)"
+                    % (lineno, exc.start + 1, exc.reason)
+                ) from None
+            yield line
 
 
 # The per-line parser as it was before coordinates were converted in blocks,
@@ -241,6 +286,12 @@ class TestParse:
         space = parse_embeddings("the 1\n\ufeffof 2\n".encode(), max_words=10)
         assert space.words == ["the", "\ufeffof"]
 
+    def test_lines_of_unicode_whitespace_are_blank(self):
+        data = "a 1 2\u2003\n\u3000\n \u0085\nb 3 4 \u00a0\n".encode()
+        space = parse_embeddings(data, max_words=10)
+        assert space.words == ["a", "b"]
+        assert np.array_equal(space.vectors, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_coordinates_are_accepted_as_float_accepts_them(self):
         space = parse_embeddings("a 1_0 １ ١٢\nb 0 -0 +.5\n".encode(), max_words=10)
         assert np.array_equal(space.vectors, [[10.0, 1.0, 12.0], [0.0, -0.0, 0.5]])
@@ -387,10 +438,14 @@ class TestBlockBoundaries:
 
 _number = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _number_text = st.one_of(_number.map(repr), _number.map(lambda v: "%.6g" % v))
-# float() accepts all of these; np.loadtxt rejects the first three
-_float_only = st.sampled_from(["1_0", "１", "١٢", "-0", "+.5", "1.", "\t1"])
+# float() accepts all of these; np.loadtxt rejects the first three, and the
+# non-ASCII ones never reach it
+_float_only = st.sampled_from(
+    ["1_0", "１", "١٢", "-0", "+.5", "1.", "\t1", "\u00a01", "1\u2003", "\x0b1", "1\x0c"]
+)
 _bad_field = st.sampled_from(
-    ["x", "", "1e500", "-1e500", "nan", "inf", "0x1", "1e", "1,5", "1\x1c", "\x1f2"]
+    ["x", "", "1e500", "-1e500", "nan", "inf", "0x1", "1e", "1,5", "1\x1c", "\x1f2",
+     "\u0085"]
 )
 
 
@@ -399,7 +454,9 @@ def _files(draw):
     """Embedding text with odd rows sprinkled in, its line ends, and a
     ``max_words``."""
     dim = draw(st.integers(min_value=1, max_value=4))
-    n = draw(st.integers(min_value=0, max_value=12))
+    # up to 16 rows: over two blocks at the patched block sizes, so the
+    # helper process converts some of them
+    n = draw(st.integers(min_value=0, max_value=16))
     tokens = st.one_of(_token, st.sampled_from(["a", "b", "new york", "ü", "c d e"]))
     lines = []
     if draw(st.booleans()):
@@ -420,8 +477,10 @@ def _files(draw):
             line = b"caf\xe9" + line  # invalid UTF-8
         elif kind == 5:
             lines.append(b"")
-        elif kind == 6:
-            line += b"  "
+        elif kind == 6:  # trailing whitespace, which str.rstrip() strips
+            line += draw(st.sampled_from([b"  ", b" \x1c", " \u2003".encode(), " \u3000 ".encode()]))
+        elif kind == 7:
+            line = line[:-1] + b"\xa0" + line[-1:]  # invalid UTF-8 in a coordinate
         lines.append(line)
     end = st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])
     ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
@@ -451,3 +510,135 @@ class TestAgainstReference:
         expected = _outcome(reference_parse_embeddings, io.BytesIO(data), max_words)
         with mock.patch.object(embeddings, "BLOCK_ROWS", block_rows):
             assert _outcome(parse_embeddings, source, max_words) == expected
+
+
+def _field_probes():
+    """Every single byte at the start, middle and end of a field, with the
+    field first, inside and last in its row."""
+    for value in range(256):
+        byte = bytes([value])
+        for field in (byte + b"1", b"1" + byte + b"5", b"1" + byte):
+            for row in (field + b" 2", b"2 " + field + b" 3", b"2 " + field):
+                yield row
+
+
+def test_loadtxt_block_reads_every_byte_as_row_vector_does():
+    # The block path may reject a row, which then goes row by row; it may
+    # never accept a row that _row_vector rejects or read it differently.
+    for row in _field_probes():
+        block = embeddings._loadtxt_block([row], row.count(b" ") + 1)
+        if block is None:
+            continue
+        expected = embeddings._row_vector(1, "t", row.decode("utf-8"))
+        assert block.tobytes() == expected.tobytes(), row
+
+
+def _cloud_text(rows: int, odd_row: int | None = None, odd: bytes = b"1_0") -> bytes:
+    """``rows`` GloVe lines, with the first coordinate of line ``odd_row``
+    (1-based) replaced by ``odd``."""
+    lines = []
+    for i in range(rows):
+        first = odd if i + 1 == odd_row else b"%d.25" % i
+        lines.append(b"w%d %s %d" % (i, first, -i))
+    return _text(lines)
+
+
+@pytest.fixture
+def helper(tmp_path, monkeypatch):
+    """Blocks of 4 rows and one helper process, whatever the CPU count,
+    whose entry leaves a marker file when it runs."""
+    marker = tmp_path / "helper-ran"
+    real = embeddings._helper_main
+
+    def marked(*args):
+        marker.touch()
+        real(*args)
+
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(embeddings, "_helper_count", lambda: 1)
+    monkeypatch.setattr(embeddings, "_helper_main", marked)
+    return marker
+
+
+def _inline(data: bytes, **kwargs) -> EmbeddingSpace:
+    with mock.patch.object(embeddings, "_helper_count", lambda: 0):
+        return parse_embeddings(data, **kwargs)
+
+
+class TestHelperProcess:
+    # the autouse fixture in conftest.py fails any test that leaves the
+    # helper running
+
+    def test_converts_the_same_bits_as_the_parent_alone(self, helper):
+        data = _cloud_text(30, odd_row=14)  # the odd row falls back, in the helper's block
+        space = parse_embeddings(data)
+        assert helper.exists()
+        expected = _inline(data)
+        assert space.words == expected.words
+        assert space.vectors.tobytes() == expected.vectors.tobytes()
+        assert space.vectors[13, 0] == 10.0
+
+    def test_inputs_of_one_block_or_less_never_fork(self, helper):
+        parse_embeddings(_cloud_text(7))
+        assert not helper.exists()
+
+    def test_format_error_in_a_later_block(self, helper):
+        with pytest.raises(EmbeddingFormatError, match="^line 23: non-numeric"):
+            parse_embeddings(_cloud_text(30, odd_row=23, odd=b"x"))
+        assert helper.exists()
+
+    @pytest.mark.parametrize("later", [b"i 1", b"\xff 1 1"], ids=["short_row", "invalid_utf8"])
+    def test_bad_value_in_the_helpers_block_wins_over_a_later_error(self, helper, later):
+        lines = _rows(0, 4) + [b"e x 1"] + _rows(5, 9) + [later] + _rows(10, 20)
+        with pytest.raises(EmbeddingFormatError, match="^line 5: non-numeric"):
+            parse_embeddings(_text(lines))
+        assert helper.exists()
+
+    def test_max_words_stop_mid_file(self, helper):
+        space = parse_embeddings(_cloud_text(30) + b"bad x 1\n", max_words=13)
+        assert helper.exists()
+        assert space.words == ["w%d" % i for i in range(13)]
+
+    def test_stdin_source(self, helper, monkeypatch):
+        data = _cloud_text(30)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        space = embeddings.load_embeddings("-")
+        assert helper.exists()
+        assert space.vectors.tobytes() == _inline(data).vectors.tobytes()
+
+    def test_a_helper_that_exits_at_once_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(embeddings, "_helper_count", lambda: 1)
+        monkeypatch.setattr(embeddings, "_helper_main", lambda *args: os._exit(1))
+        data = _cloud_text(30, odd_row=14)
+        space = parse_embeddings(data)
+        expected = _inline(data)
+        assert space.words == expected.words
+        assert space.vectors.tobytes() == expected.vectors.tobytes()
+
+    def test_stdin_file_through_the_cli(self, tmp_path):
+        # A helper forked while stdin is a regular file shares its offset
+        # with the parent; the parent must still read every line.
+        path = tmp_path / "cloud.txt"
+        path.write_bytes(_cloud_text(3 * BLOCK_ROWS))
+        args = [sys.executable, "-m", "embshape", "stats", "--words", "w0,w1,w2"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        by_path = subprocess.run(args + [str(path)], env=env, capture_output=True, check=True)
+        with open(path, "rb") as stdin:
+            by_stdin = subprocess.run(
+                args + ["-"], env=env, stdin=stdin, capture_output=True, check=True
+            )
+        reports = [json.loads(run.stdout) for run in (by_path, by_stdin)]
+        for report in reports:
+            report["params"].pop("input")
+        assert reports[0] == reports[1]
+
+
+class TestParseCounts:
+    @pytest.mark.parametrize("odd_row,fallbacks", [(None, 0), (14, 1)])
+    def test_blocks_and_row_fallbacks(self, helper, odd_row, fallbacks):
+        timer = StageTimer()
+        with timer.stage("parse"):
+            parse_embeddings(_cloud_text(30, odd_row=odd_row))
+        parse = timer.stages["parse"]
+        assert (parse["blocks"], parse["row_fallbacks"]) == (8 - fallbacks, fallbacks)

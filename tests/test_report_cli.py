@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from embshape import (
     topk_neighbors,
     write_glove_text,
 )
+from embshape import embeddings
 from embshape.cli import main
 from embshape.stages import StageTimer
 
@@ -279,6 +285,37 @@ class TestCli:
         # a top-3 glue ranking is too short for a 5-word description
         assert counts[0]["describe"]["neighbor_queries"] > 0
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_timings_count_parse_blocks_and_row_fallbacks(
+        self, small_cloud, tmp_path, monkeypatch, fmt
+    ):
+        monkeypatch.setattr(embeddings, "BLOCK_ROWS", 256)  # 6 blocks of 1500 rows
+        lines = format_glove_text(small_cloud.space).splitlines(keepends=True)
+        # the same value spelled with an underscore, which only float() reads
+        token, coords = lines[299].split(" ", 1)
+        odd = token + " " + re.sub(r"(\d)(\d)", r"\1_\2", coords, count=1)
+        assert odd != lines[299]
+        clean_file, odd_file = tmp_path / "clean.txt", tmp_path / "odd.txt"
+        clean_file.write_text("".join(lines))
+        odd_file.write_text("".join(lines[:299] + [odd] + lines[300:]))
+
+        reports, counts = [], []
+        for path in (clean_file, odd_file):
+            args = ["analyze", str(path), "--triple-samples", "5", "--format", fmt]
+            plain, timed = tmp_path / "plain", tmp_path / "timed"
+            timings = tmp_path / "timings.json"
+            assert main(args + ["-o", str(plain)]) == 0
+            assert main(args + ["-o", str(timed), "--timings", str(timings)]) == 0
+            assert timed.read_bytes() == plain.read_bytes()
+            reports.append(json.loads(plain.read_text()) if fmt == "json" else plain.read_text())
+            parse = json.loads(timings.read_text())["stages"]["parse"]
+            counts.append((parse["blocks"], parse["row_fallbacks"]))
+        assert counts == [(6, 0), (5, 1)]
+        if fmt == "json":
+            for report in reports:
+                report["params"].pop("input")
+            assert reports[0] == reports[1]
+
     def test_project_csv(self, cloud_file, capsysbinary):
         rc = main([
             "project", str(cloud_file), "--words", "w000001", "w000002", "w000003",
@@ -349,3 +386,31 @@ class TestCli:
         rc = main(["analyze", str(bad)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# Prints OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first imported.
+_BLAS_TIMEOUT_PROBE = """
+import os, sys
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import embshape
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "4"), ("9", "9")], ids=["unset", "user_set"])
+def test_blas_thread_timeout_is_set_before_numpy_loads(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    env["PYTHONPATH"] = str(Path(embeddings.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _BLAS_TIMEOUT_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.split() == [expected]
