@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .embeddings import load_embeddings, normalized, write_glove_text, format_glove_text
 from .errors import EmbshapeError
-from .extractor import check_sample_count
 from .report import (
     AnalysisConfig,
     aggregate_triple_stats,
@@ -210,15 +209,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    check_sample_count(args.triple_samples)
+    # checks the sample count and the seed as analyze does, before the parse
+    AnalysisConfig(args.input, triple_samples=args.triple_samples, seed=args.seed)
     space = _load_space(args)
     words = [w for w in args.words.split(",") if w]
     if len(words) < 3:
         raise ValueError("stats needs at least 3 vertex words, got %d" % len(words))
     indices = _resolve_words(space, words)
-    triples = sample_triple_stats(
-        space, indices, args.triple_samples, args.seed, tokens=words
-    )
+    triples = sample_triple_stats(space, indices, args.triple_samples, args.seed)
     payload = {
         "params": {
             "input": args.input,

@@ -15,6 +15,7 @@ import logging
 import multiprocessing
 import os
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +33,10 @@ GLOVE_TEXT = "glove_text"
 W2V_TEXT = "w2v_text"
 
 DEFAULT_MAX_WORDS = 50_000
+
+# Rows per block of every pass over a whole matrix, here and in pca: no pass
+# holds an N x D temporary, and threads cannot change how a sum is ordered.
+_MATRIX_BLOCK_ROWS = 8192
 
 
 @dataclass(eq=False)
@@ -68,9 +73,12 @@ class EmbeddingSpace:
 
     @cached_property
     def row_norms(self) -> np.ndarray:
-        """Euclidean norm of every row, computed on first use. The matrix
-        is read-only, so the norms cannot go stale."""
-        norms = np.linalg.norm(self.vectors, axis=1)
+        """Euclidean norm of every row, computed on first use, one row block
+        at a time. The matrix is read-only, so the norms cannot go stale."""
+        norms = np.empty(self.n_words)
+        for start in range(0, self.n_words, _MATRIX_BLOCK_ROWS):
+            rows = self.vectors[start : start + _MATRIX_BLOCK_ROWS]
+            norms[start : start + _MATRIX_BLOCK_ROWS] = np.linalg.norm(rows, axis=1)
         norms.setflags(write=False)
         return norms
 
@@ -238,6 +246,7 @@ def _helper_main(requests: int, replies: int, parent_ends: tuple, dim: int) -> N
                 dst.write(len(reply).to_bytes(8, "little"))
                 dst.write(reply)
                 dst.flush()
+                del coords, block, reply  # hold none of them while reading the next
     finally:
         # Leave at once, at the end of input, a broken pipe or an interrupt:
         # nothing copied by the fork (atexit handlers, buffered output) may
@@ -254,8 +263,8 @@ def _helper_count() -> int:
 
 
 class _BlockMatrix:
-    """The converted rows of one parse: one matrix, grown block by block
-    in file order.
+    """The kept rows of one parse, taken one at a time and converted into
+    one matrix in blocks of ``BLOCK_ROWS`` rows, in file order.
 
     A block is converted by ``_loadtxt_block``, or row by row with
     ``_row_vector`` when that rejects it, which raises the first bad row's
@@ -265,47 +274,37 @@ class _BlockMatrix:
     row-by-row fallback and every error stay in the parent, and blocks are
     appended in file order, so the result does not depend on which process
     converted a block. A helper that dies leaves its block and the rest to
-    the parent. Call ``close`` in a ``finally``.
+    the parent. Call ``finish`` at the end of the rows and ``close`` in a
+    ``finally``.
     """
 
-    def __init__(self):
-        self.vectors = np.empty((0, 0))
-        self._dim = 0
-        self._full_blocks = 0
+    def __init__(self, dim: int):
+        self.vectors = np.empty((0, dim))
+        self._dim = dim
         self._may_fork = _helper_count() > 0
         self._proc = None
         self._requests = self._replies = None  # the parent's ends of the pipes
-        self._in_flight = None  # (coords, linenos, tokens) of the helper's block
+        self._in_flight = None  # the helper's block
+        self._coords: list[bytes] = []  # the block being filled
+        self._names: list[tuple[int, str]] = []  # its rows' line numbers and tokens
 
-    def add(self, coords: list[bytes], linenos: list[int], tokens: list[str],
-            dim: int, full: bool) -> None:
-        """Convert one block of kept rows, given by their coordinate bytes,
-        line numbers and tokens. A full block after the first goes to the
-        helper when it holds none; any other is converted here, and the
-        helper's block is appended before it."""
-        self._dim = dim
-        job = (coords, linenos, tokens)
-        if full and self._full_blocks and self._in_flight is None and self._send(coords):
-            self._in_flight = job
-        else:
-            block = _loadtxt_block(coords, dim)
-            self.collect()
-            self._append(block, job)
-        self._full_blocks += full
+    def add(self, lineno: int, token: str, coords: bytes) -> None:
+        """Take one kept row: its line number, token and coordinate bytes."""
+        self._coords.append(coords)
+        self._names.append((lineno, token))
+        if len(self._coords) == BLOCK_ROWS:
+            block = self._cut()
+            if len(self.vectors) and self._in_flight is None and self._send(block[0]):
+                self._in_flight = block
+            else:
+                self._convert(block)
 
-    def collect(self) -> None:
-        """Append the block the helper holds, if it holds one."""
-        if self._in_flight is None:
-            return
-        job, self._in_flight = self._in_flight, None
-        try:
-            if self._read_reply(len(job[0])):
-                return
-            block = None
-        except EOFError:  # the helper died: convert its block here
-            self.close()
-            block = _loadtxt_block(job[0], self._dim)
-        self._append(block, job)
+    def finish(self) -> None:
+        """Convert the rows of a short last block, after appending the
+        helper's block, so the first bad row in file order is raised."""
+        if self._coords:
+            self._convert(self._cut())
+        self._collect()
 
     def close(self) -> None:
         """End the helper, if one runs: closing the pipes ends its loop, at
@@ -318,6 +317,29 @@ class _BlockMatrix:
             self._replies.close()
             self._proc.join()
             self._proc = None
+
+    def _cut(self) -> tuple:
+        """The rows taken since the last cut, as one block."""
+        block = (self._coords, self._names)
+        self._coords, self._names = [], []
+        return block
+
+    def _convert(self, block: tuple) -> None:
+        matrix = _loadtxt_block(block[0], self._dim)
+        self._collect()
+        self._append(matrix, block)
+
+    def _collect(self) -> None:
+        """Append the block the helper holds, if it holds one."""
+        block, self._in_flight = self._in_flight, None
+        if block is None:
+            return
+        try:
+            if not self._read_reply(len(block[0])):
+                self._append(None, block)
+        except EOFError:  # the helper died: convert its block here
+            self.close()
+            self._convert(block)
 
     def _send(self, coords: list[bytes]) -> bool:
         if self._proc is None:
@@ -383,19 +405,22 @@ class _BlockMatrix:
         self._replies = open(from_helper, "rb")
         return True
 
-    def _append(self, block: np.ndarray | None, job: tuple) -> None:
-        coords, linenos, tokens = job
-        if block is None:
+    def _append(self, matrix: np.ndarray | None, block: tuple) -> None:
+        coords, names = block
+        if matrix is None:
             stages.count("row_fallbacks")
-            block = np.vstack(
-                [_row_vector(n, t, _text(c)) for n, t, c in zip(linenos, tokens, coords)]
+            matrix = np.vstack(
+                [_row_vector(n, t, _text(c)) for (n, t), c in zip(names, coords)]
             )
         else:
             stages.count("blocks")
-        self._grow(len(block))[:] = block
+        self._grow(len(matrix))[:] = matrix
 
     def _grow(self, rows: int) -> np.ndarray:
-        """Add ``rows`` rows to the matrix and return them."""
+        """Add ``rows`` rows to the matrix and return them. The rows are
+        held once: blocks kept apart and copied together at the end would
+        double the peak, and freeing each after its copy does not help, as
+        the C heap keeps the freed blocks resident."""
         start = len(self.vectors)
         # a realloc: large buffers grow by remapping, not by copying
         self.vectors.resize((start + rows, self._dim), refcheck=False)
@@ -417,105 +442,75 @@ def parse_embeddings(
     mark is ignored.
 
     The text streams through as bytes; only tokens are decoded. The
-    coordinates of kept rows are converted in blocks of ``BLOCK_ROWS``
-    rows, every other one in a helper process when there is a second CPU
-    (see ``_BlockMatrix``), and the first error in file order is raised,
-    whatever kind it is. Each converted block is appended to one matrix
-    that grows in place, so the rows are held once: blocks kept apart and
-    copied together at the end would double the peak, and freeing each
-    after its copy does not help, as the C heap keeps the freed blocks
-    resident.
+    coordinates of kept rows are converted by ``_BlockMatrix``, in blocks
+    and partly in a helper process, and the first error in file order is
+    raised, whatever kind it is.
     """
     if max_words < 1:
         raise ValueError("max_words must be positive")
 
     words: list[str] = []
     seen: set[str] = set()
-    matrix = _BlockMatrix()
-    pending: list[bytes] = []  # coordinate bytes of kept rows not yet converted
-    pending_lines: list[int] = []
     dim: int | None = None
-    lineno = 0
-    first_data_line = True
-
-    def convert_pending(full: bool) -> None:
-        nonlocal pending, pending_lines
-        if pending:
-            coords, linenos = pending, pending_lines
-            pending, pending_lines = [], []
-            tokens = words[len(words) - len(coords) :]
-            matrix.add(coords, linenos, tokens, dim, full)
-
-    failure = None
+    rows = None  # a _BlockMatrix from the line that gives D on
     try:
-        try:
-            for raw in _byte_lines(source):
-                lineno += 1
-                if lineno == 1:
-                    raw = raw.removeprefix(_BOM)
-                line = raw.rstrip(_ASCII_SPACE)
-                if line and line[-1] >= 0x80:  # it may end in a non-ASCII space
-                    line = _text(line).rstrip().encode("utf-8", "surrogatepass")
-                if not line:
-                    continue
-                if first_data_line:
-                    first_data_line = False
-                    text = _text(line)
-                    line_fmt = detect_format(text)
-                    if fmt is None:
-                        fmt = line_fmt
-                    if fmt == W2V_TEXT:
-                        if line_fmt != W2V_TEXT:
-                            raise EmbeddingFormatError(
-                                "line 1: expected a 'N D' header, got %r" % text[:80]
-                            )
-                        dim = int(text.split()[1])
-                        continue
-                spaces = line.count(b" ")
-                if dim is None:
-                    dim = spaces
-                    if dim == 0:
-                        raise EmbeddingFormatError(
-                            "line %d: no coordinates found" % lineno
-                        )
-                if spaces == dim:
-                    cut = line.index(b" ")
-                elif spaces > dim:
-                    cut = len(line.rsplit(b" ", dim)[0])
-                else:
+        for lineno, raw in enumerate(_byte_lines(source), 1):
+            if lineno == 1:
+                raw = raw.removeprefix(_BOM)
+            line = raw.rstrip(_ASCII_SPACE)
+            if line and line[-1] >= 0x80:  # it may end in a non-ASCII space
+                line = _text(line).rstrip().encode("utf-8", "surrogatepass")
+            if not line:
+                continue
+            if dim is None:
+                text = _text(line)
+                line_fmt = detect_format(text)
+                if fmt is None:
+                    fmt = line_fmt
+                if fmt == W2V_TEXT and line_fmt != W2V_TEXT:
                     raise EmbeddingFormatError(
-                        "line %d: expected %d coordinates, found %d"
-                        % (lineno, dim, spaces)
+                        "line 1: expected a 'N D' header, got %r" % text[:80]
                     )
-                token = _text(line[:cut])
-                if token in seen:
-                    log.warning(
-                        "line %d: duplicate token %r, keeping first occurrence",
-                        lineno,
-                        token,
-                    )
+                dim = int(text.split()[1]) if fmt == W2V_TEXT else line.count(b" ")
+                if dim == 0:
+                    raise EmbeddingFormatError("line %d: no coordinates found" % lineno)
+                rows = _BlockMatrix(dim)
+                if fmt == W2V_TEXT:
                     continue
-                seen.add(token)
-                words.append(token)
-                pending.append(line[cut + 1 :])
-                pending_lines.append(lineno)
-                if len(pending) == BLOCK_ROWS:
-                    convert_pending(full=True)
-                if len(words) >= max_words:
-                    break
-        except EmbeddingFormatError as exc:
-            failure = exc
-        # a bad row before a failing line is reported first
-        convert_pending(full=False)
-        matrix.collect()
+            spaces = line.count(b" ")
+            if spaces == dim:
+                cut = line.index(b" ")
+            elif spaces > dim:
+                cut = len(line.rsplit(b" ", dim)[0])
+            else:
+                raise EmbeddingFormatError(
+                    "line %d: expected %d coordinates, found %d"
+                    % (lineno, dim, spaces)
+                )
+            token = _text(line[:cut])
+            if token in seen:
+                log.warning(
+                    "line %d: duplicate token %r, keeping first occurrence",
+                    lineno,
+                    token,
+                )
+                continue
+            seen.add(token)
+            words.append(token)
+            rows.add(lineno, token, line[cut + 1 :])
+            if len(words) >= max_words:
+                break
+        if not words:
+            raise EmbeddingFormatError("no data rows found in input")
+        rows.finish()
+    except EmbeddingFormatError:
+        if rows is not None:  # a bad row before the failing line is reported first
+            rows.finish()
+        raise
     finally:
-        matrix.close()
-    if failure is not None:
-        raise failure
-
-    if not words:
-        raise EmbeddingFormatError("no data rows found in input")
-    return EmbeddingSpace(words=words, vectors=matrix.vectors)
+        if rows is not None:
+            rows.close()
+    return EmbeddingSpace(words=words, vectors=rows.vectors)
 
 
 def load_embeddings(
@@ -523,13 +518,9 @@ def load_embeddings(
     fmt: str | None = None,
     max_words: int = DEFAULT_MAX_WORDS,
 ) -> EmbeddingSpace:
-    """Open ``path`` and parse it. '-' reads stdin."""
-    if str(path) == "-":
-        import sys
-
-        return parse_embeddings(sys.stdin.buffer, fmt=fmt, max_words=max_words)
-    with open(path, "rb") as fh:
-        return parse_embeddings(fh, fmt=fmt, max_words=max_words)
+    """Parse the file at ``path``; '-' reads stdin."""
+    source = sys.stdin.buffer if str(path) == "-" else path
+    return parse_embeddings(source, fmt=fmt, max_words=max_words)
 
 
 def format_glove_text(space: EmbeddingSpace) -> str:
@@ -551,6 +542,6 @@ def normalized(space: EmbeddingSpace) -> EmbeddingSpace:
 
     Zero rows are left untouched; they carry no direction to preserve.
     """
-    norms = np.linalg.norm(space.vectors, axis=1, keepdims=True)
+    norms = space.row_norms[:, np.newaxis]
     safe = np.where(norms == 0.0, 1.0, norms)
     return EmbeddingSpace(words=list(space.words), vectors=space.vectors / safe)

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
-
-# Row block size of every product over the cloud. Blocks are fixed, so
-# the thread count cannot change how a sum is split or ordered.
-_BLOCK_ROWS = 8192
+from .embeddings import _MATRIX_BLOCK_ROWS, EmbeddingSpace
 
 
 @dataclass(eq=False)
@@ -44,8 +40,8 @@ def _covariance(vectors: np.ndarray, mean: np.ndarray) -> np.ndarray:
     order so results do not depend on how the work is scheduled."""
     n, d = vectors.shape
     cov = np.zeros((d, d))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = vectors[start : start + _BLOCK_ROWS] - mean
+    for start in range(0, n, _MATRIX_BLOCK_ROWS):
+        block = vectors[start : start + _MATRIX_BLOCK_ROWS] - mean
         cov += block.T @ block
     cov /= n
     return (cov + cov.T) / 2.0
@@ -62,9 +58,9 @@ def centered_product(
     count.
     """
     out = np.empty((directions.shape[0], vectors.shape[0]))
-    for start in range(0, vectors.shape[0], _BLOCK_ROWS):
-        block = vectors[start : start + _BLOCK_ROWS] - mean
-        out[:, start : start + _BLOCK_ROWS] = directions @ block.T
+    for start in range(0, vectors.shape[0], _MATRIX_BLOCK_ROWS):
+        block = vectors[start : start + _MATRIX_BLOCK_ROWS] - mean
+        out[:, start : start + _MATRIX_BLOCK_ROWS] = directions @ block.T
     return out
 
 

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,8 @@ class AnalysisConfig:
     """Inputs and knobs for one full analysis run.
 
     The defaults are the pipeline defaults; the command line reads them
-    from here.
+    from here. Every knob is checked when the config is built, so a bad
+    value fails before the input is read.
     """
 
     input_path: str
@@ -63,6 +64,17 @@ class AnalysisConfig:
 
     def __post_init__(self):
         check_sample_count(self.triple_samples)
+        self._extraction_params()
+
+    def _extraction_params(self) -> ExtractionParams:
+        return ExtractionParams(
+            num_axes=self.axes,
+            k=self.k,
+            glue_threshold=self.glue_threshold,
+            trials=self.trials,
+            tau=self.tau,
+            seed=self.seed,
+        )
 
 
 @dataclass
@@ -82,7 +94,6 @@ def sample_triple_stats(
     vertex_indices: Sequence[int],
     num_samples: int,
     seed: int,
-    tokens: Sequence[str] | None = None,
 ) -> list[dict]:
     """Containment stats for seeded random triples of the given vertices.
 
@@ -90,7 +101,7 @@ def sample_triple_stats(
     than 3 vertices give no triples. All triples are projected through one
     ``PoolProduct`` over the vertices.
     """
-    names = tokens if tokens is not None else [space.words[i] for i in vertex_indices]
+    names = [space.words[i] for i in vertex_indices]
     product = PoolProduct(space, vertex_indices)
     rng = np.random.default_rng([seed, _TRIPLE_STREAM])
     return [
@@ -143,13 +154,8 @@ def analyze_space(
             % (m_requested - m_used, m_requested)
         )
 
-    params = ExtractionParams(
-        num_axes=m_used,
-        k=min(config.k, space.n_words),
-        glue_threshold=config.glue_threshold,
-        trials=config.trials,
-        tau=config.tau,
-        seed=config.seed,
+    params = replace(
+        config._extraction_params(), num_axes=m_used, k=min(config.k, space.n_words)
     )
     with timer.stage("candidates"):
         candidates = find_candidates(space, pca, m_used)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import BinaryIO, Iterator, TextIO, Union
 from unittest import mock
@@ -237,6 +238,18 @@ class TestParse:
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
             parse_embeddings(b"a nan 0\n", max_words=10)
 
+    @pytest.mark.parametrize(
+        "data,bad_line",
+        [(b"\n \n3 2\na 1 0\nb 0 1\nc 1 1\n", 7), (b"\r\n\t\na 1 0\nb 0 1\nc 1 1\n", 6)],
+        ids=["w2v_header", "glove_first_row"],
+    )
+    def test_blank_lines_before_the_first_data_line(self, data, bad_line):
+        space = parse_embeddings(data, max_words=10)
+        assert space.words == ["a", "b", "c"]
+        assert np.array_equal(space.vectors, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(EmbeddingFormatError, match="^line %d: non-numeric" % bad_line):
+            parse_embeddings(data + b"d x 0\n", max_words=10)
+
     def test_empty_input(self):
         with pytest.raises(EmbeddingFormatError, match="no data rows"):
             parse_embeddings(b"", max_words=10)
@@ -377,6 +390,25 @@ class TestSpace:
         assert space.row_norms is space.row_norms
         with pytest.raises(ValueError):
             space.row_norms[0] = 1.0
+
+    def test_row_norms_go_block_by_block_with_the_same_bits(self):
+        # rows of very different scales, over eight blocks and a short one
+        rng = np.random.default_rng(5)
+        n = 8 * embeddings._MATRIX_BLOCK_ROWS + 5
+        vectors = rng.standard_normal((n, 16)) * 10.0 ** rng.uniform(-5, 5, (n, 1))
+        vectors[embeddings._MATRIX_BLOCK_ROWS] = 0.0
+        space = EmbeddingSpace(words=["w%d" % i for i in range(n)], vectors=vectors)
+        tracemalloc.start()
+        try:
+            norms = space.row_norms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < space.vectors.nbytes / 4  # no N x D temporary
+        assert norms.tobytes() == np.linalg.norm(vectors, axis=1).tobytes()
+        old = np.linalg.norm(vectors, axis=1, keepdims=True)
+        expected = vectors / np.where(old == 0.0, 1.0, old)
+        assert normalized(space).vectors.tobytes() == expected.tobytes()
 
     def test_normalized_rows_are_unit(self):
         space = EmbeddingSpace(words=["a", "b", "z"], vectors=np.array(
@@ -598,6 +630,16 @@ class TestHelperProcess:
         space = parse_embeddings(_cloud_text(30) + b"bad x 1\n", max_words=13)
         assert helper.exists()
         assert space.words == ["w%d" % i for i in range(13)]
+
+    def test_an_interrupt_from_the_source_ends_the_helper(self, helper):
+        def interrupted():
+            # two blocks, the second one in the helper, then part of a third
+            yield from _cloud_text(10).splitlines(keepends=True)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            parse_embeddings(interrupted())
+        assert helper.exists()
 
     def test_stdin_source(self, helper, monkeypatch):
         data = _cloud_text(30)

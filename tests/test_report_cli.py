@@ -375,6 +375,24 @@ class TestCli:
             "error: triangle sample count must be >= 0, got -5\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["analyze", "--tau", "2"], "tau must be in [0, 1]"),
+            (["analyze", "--glue-threshold", "-0.5"], "glue_threshold must be in [0, 1]"),
+            (["analyze", "--trials", "0"], "trials must be >= 1"),
+            (["analyze", "--k", "0"], "k must be >= 1"),
+            (["analyze", "--axes", "0"], "num_axes must be >= 1"),
+            (["analyze", "--seed", "-1"], "seed must be nonnegative"),
+            (["stats", "--words", "a,b,c", "--seed", "-1"], "seed must be nonnegative"),
+        ],
+    )
+    def test_knobs_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, message):
+        # a missing file gives the knob's error, not a file error
+        missing = str(tmp_path / "missing.txt")
+        assert main([argv[0], missing, *argv[1:]]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+
     def test_stats_needs_three_words(self, cloud_file, capsys):
         rc = main(["stats", str(cloud_file), "--words", "w000001,w000002"])
         assert rc == 1
