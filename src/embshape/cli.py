@@ -211,10 +211,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     # checks the sample count and the seed as analyze does, before the parse
     AnalysisConfig(args.input, triple_samples=args.triple_samples, seed=args.seed)
-    space = _load_space(args)
     words = [w for w in args.words.split(",") if w]
     if len(words) < 3:
         raise ValueError("stats needs at least 3 vertex words, got %d" % len(words))
+    space = _load_space(args)
     indices = _resolve_words(space, words)
     triples = sample_triple_stats(space, indices, args.triple_samples, args.seed)
     payload = {

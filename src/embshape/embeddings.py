@@ -199,8 +199,8 @@ def _loadtxt_block(coords: list[bytes], dim: int) -> np.ndarray | None:
 
     None when that call cannot stand for ``_row_vector`` on every row: a
     row holds a non-ASCII byte or one of ``_LOADTXT_ONLY_SPACE``, or loadtxt
-    raises, returns another shape or a non-finite value. The parent and the
-    helper process convert blocks with this one function.
+    raises, returns another shape or a non-finite value. The parent and its
+    children convert blocks with this one function.
     """
     if not all(row.isascii() for row in coords) or any(
         ch in row for row in coords for ch in _LOADTXT_ONLY_SPACE
@@ -217,48 +217,29 @@ def _loadtxt_block(coords: list[bytes], dim: int) -> np.ndarray | None:
     return block
 
 
-def _read_size(fh: BinaryIO) -> int:
-    """The length that opens a message; EOFError at the end of the pipe."""
-    header = fh.read(8)
-    if len(header) < 8:
-        raise EOFError
-    return int.from_bytes(header, "little")
-
-
-# The parent writes a block to the helper row by row through a buffer of
-# this size, one pipe's capacity, so a block takes a few hundred writes.
-_PIPE_BUFFER = 1 << 16
-
-
-def _helper_main(requests: int, replies: int, parent_ends: tuple, dim: int) -> None:
-    """The helper process: convert each block the parent writes to the
-    ``requests`` pipe, and write its float64 bytes to ``replies``, or an
-    empty message when ``_loadtxt_block`` rejects the block, until the
-    parent closes its end."""
+def _helper_main(coords: list[bytes], dim: int, out: BinaryIO) -> None:
+    """A child process: convert the block the fork copied with
+    ``_loadtxt_block`` and write its float64 bytes to the memory file
+    ``out``; exit with 0 when ``out`` holds them, 1 when it was rejected."""
+    code = 1
     try:
-        for fd in parent_ends:  # the fork's copies; open, they hide the parent's close
-            os.close(fd)
-        with open(requests, "rb") as src, open(replies, "wb") as dst:
-            while True:
-                coords = src.read(_read_size(src)).split(b"\n")
-                block = _loadtxt_block(coords, dim)
-                reply = b"" if block is None else memoryview(block).cast("B")
-                dst.write(len(reply).to_bytes(8, "little"))
-                dst.write(reply)
-                dst.flush()
-                del coords, block, reply  # hold none of them while reading the next
+        block = _loadtxt_block(coords, dim)
+        if block is not None:
+            out.write(block)
+            out.flush()
+            code = 0
     finally:
-        # Leave at once, at the end of input, a broken pipe or an interrupt:
-        # nothing copied by the fork (atexit handlers, buffered output) may
-        # run a second time.
-        os._exit(0)
+        # Leave at once, also on an error or an interrupt: nothing copied by
+        # the fork (atexit handlers, buffered output) may run a second time.
+        os._exit(code)
 
 
 def _helper_count() -> int:
-    """Helper processes a parse starts: one where ``fork`` is available
-    and the process may run on two or more CPUs, otherwise none."""
-    if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
-        return min(2, len(os.sched_getaffinity(0))) - 1
+    """Child processes a parse runs at a time: one where ``fork`` and memory
+    files exist and the process may run on two or more CPUs, else none."""
+    if hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity"):
+        if "fork" in multiprocessing.get_all_start_methods():
+            return min(2, len(os.sched_getaffinity(0))) - 1
     return 0
 
 
@@ -268,23 +249,21 @@ class _BlockMatrix:
 
     A block is converted by ``_loadtxt_block``, or row by row with
     ``_row_vector`` when that rejects it, which raises the first bad row's
-    error. With a helper process every other full block is converted there
-    while the parent reads and converts the next one; one block at a time
-    is in flight, so neither side can block the other on a full pipe. The
-    row-by-row fallback and every error stay in the parent, and blocks are
-    appended in file order, so the result does not depend on which process
-    converted a block. A helper that dies leaves its block and the rest to
-    the parent. Call ``finish`` at the end of the rows and ``close`` in a
-    ``finally``.
+    error. Where children may run, every other full block goes to a child
+    forked for it while the parent reads and converts the next; the fork
+    hands the child the rows and a memory file brings its matrix back. A
+    child that rejects its block, dies or exits early leaves the block to
+    the parent, so the fallback and every error stay in the parent, and
+    blocks are appended in file order, so the result does not depend on
+    which process converted a block. Call ``finish`` at the end of the
+    rows and ``close`` in a ``finally``.
     """
 
     def __init__(self, dim: int):
         self.vectors = np.empty((0, dim))
         self._dim = dim
         self._may_fork = _helper_count() > 0
-        self._proc = None
-        self._requests = self._replies = None  # the parent's ends of the pipes
-        self._in_flight = None  # the helper's block
+        self._child = None  # the running child, its memory file and its block
         self._coords: list[bytes] = []  # the block being filled
         self._names: list[tuple[int, str]] = []  # its rows' line numbers and tokens
 
@@ -294,29 +273,25 @@ class _BlockMatrix:
         self._names.append((lineno, token))
         if len(self._coords) == BLOCK_ROWS:
             block = self._cut()
-            if len(self.vectors) and self._in_flight is None and self._send(block[0]):
-                self._in_flight = block
-            else:
+            fork = self._may_fork and len(self.vectors) and self._child is None
+            if not (fork and self._fork(block)):
                 self._convert(block)
 
     def finish(self) -> None:
         """Convert the rows of a short last block, after appending the
-        helper's block, so the first bad row in file order is raised."""
+        child's block, so the first bad row in file order is raised."""
         if self._coords:
             self._convert(self._cut())
         self._collect()
 
     def close(self) -> None:
-        """End the helper, if one runs: closing the pipes ends its loop, at
-        the latest once it has converted the block it holds."""
-        if self._proc is not None:
-            try:
-                self._requests.close()
-            except BrokenPipeError:  # a dead helper left a message unsent
-                pass
-            self._replies.close()
-            self._proc.join()
-            self._proc = None
+        """Wait for the child, if one runs, and close its memory file."""
+        if self._child is not None:
+            proc, out, _ = self._child
+            self._child = None
+            proc.join()
+            proc.close()
+            out.close()
 
     def _cut(self) -> tuple:
         """The rows taken since the last cut, as one block."""
@@ -330,79 +305,42 @@ class _BlockMatrix:
         self._append(matrix, block)
 
     def _collect(self) -> None:
-        """Append the block the helper holds, if it holds one."""
-        block, self._in_flight = self._in_flight, None
-        if block is None:
+        """Append the block the child converts, if one runs: read from its
+        memory file when it exits with 0, otherwise converted here."""
+        if self._child is None:
             return
-        try:
-            if not self._read_reply(len(block[0])):
-                self._append(None, block)
-        except EOFError:  # the helper died: convert its block here
+        proc, out, block = self._child
+        proc.join()
+        if proc.exitcode == 0:
+            out.seek(0)  # read, not mapped: a mapped block adds to the parent's peak
+            out.readinto(self._grow(len(block[0])))
+            stages.count("blocks")
+            self.close()
+        else:  # rejected, died or exited early
             self.close()
             self._convert(block)
 
-    def _send(self, coords: list[bytes]) -> bool:
-        if self._proc is None:
-            if not self._may_fork:
-                return False
-            self._may_fork = False
-            if not self._fork():
-                return False
-        # the rows joined by newlines, written row by row: a joined copy
-        # would be one more large buffer per block
-        size = sum(map(len, coords)) + len(coords) - 1
-        try:
-            self._requests.write(size.to_bytes(8, "little"))
-            self._requests.write(coords[0])
-            for row in coords[1:]:
-                self._requests.write(b"\n")
-                self._requests.write(row)
-            self._requests.flush()
-        except OSError:  # the helper died: convert here from now on
-            self.close()
-            return False
-        return True
-
-    def _read_reply(self, rows: int) -> bool:
-        """Read the helper's reply into ``rows`` new rows of the matrix; False
-        when the helper rejected the block."""
-        size = _read_size(self._replies)
-        if size == 0:
-            return False
-        start = len(self.vectors)
-        if size != rows * self._dim * 8 or self._replies.readinto(self._grow(rows)) != size:
-            self.vectors.resize((start, self._dim), refcheck=False)
-            raise EOFError
-        stages.count("blocks")
-        return True
-
-    def _fork(self) -> bool:
-        requests, to_helper = os.pipe()
-        from_helper, replies = os.pipe()
+    def _fork(self, block: tuple) -> bool:
+        """Start a child that converts ``block``; False when none can start."""
+        out = open(os.memfd_create("embshape-block"), "r+b")
         proc = multiprocessing.get_context("fork").Process(
-            target=_helper_main,
-            args=(requests, replies, (to_helper, from_helper), self._dim),
-            daemon=True,
+            target=_helper_main, args=(block[0], self._dim, out), daemon=True
         )
         try:
             with warnings.catch_warnings():
                 # From Python 3.12 fork() warns in a process with other
                 # threads, and the OpenBLAS pool counts. This fork is safe:
-                # the helper runs only loadtxt, takes no lock another thread
+                # the child runs only loadtxt, takes no lock another thread
                 # may hold, and leaves with os._exit.
                 warnings.filterwarnings(
                     "ignore", r"This process .* is multi-threaded", DeprecationWarning
                 )
                 proc.start()
-        except OSError:  # no process to spare: convert here
-            for fd in (requests, to_helper, from_helper, replies):
-                os.close(fd)
+        except OSError:  # no process to spare: convert here from now on
+            out.close()
+            self._may_fork = False
             return False
-        os.close(requests)
-        os.close(replies)
-        self._proc = proc
-        self._requests = open(to_helper, "wb", buffering=_PIPE_BUFFER)
-        self._replies = open(from_helper, "rb")
+        self._child = (proc, out, block)
         return True
 
     def _append(self, matrix: np.ndarray | None, block: tuple) -> None:
@@ -443,7 +381,7 @@ def parse_embeddings(
 
     The text streams through as bytes; only tokens are decoded. The
     coordinates of kept rows are converted by ``_BlockMatrix``, in blocks
-    and partly in a helper process, and the first error in file order is
+    and partly in child processes, and the first error in file order is
     raised, whatever kind it is.
     """
     if max_words < 1:

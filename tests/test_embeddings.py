@@ -658,11 +658,25 @@ class TestHelperProcess:
         assert space.words == expected.words
         assert space.vectors.tobytes() == expected.vectors.tobytes()
 
-    def test_stdin_file_through_the_cli(self, tmp_path):
-        # A helper forked while stdin is a regular file shares its offset
-        # with the parent; the parent must still read every line.
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+    def test_nothing_outlives_a_parse(self, helper):
+        # each child brings a sentinel pipe and a memory file
+        fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            parse_embeddings(_cloud_text(9 * 4))
+        for _ in range(5):  # the bad value is in the last child's block
+            with pytest.raises(EmbeddingFormatError, match="^line 30: non-numeric"):
+                parse_embeddings(_cloud_text(9 * 4, odd_row=30, odd=b"x"))
+        assert helper.exists()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("blocks", [3, 7])
+    def test_stdin_file_through_the_cli(self, tmp_path, blocks):
+        # Each child forked while stdin is a regular file closes its copy of
+        # stdin, whose offset it shares with the parent; the parent must
+        # still read every line.
         path = tmp_path / "cloud.txt"
-        path.write_bytes(_cloud_text(3 * BLOCK_ROWS))
+        path.write_bytes(_cloud_text(blocks * BLOCK_ROWS))
         args = [sys.executable, "-m", "embshape", "stats", "--words", "w0,w1,w2"]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         by_path = subprocess.run(args + [str(path)], env=env, capture_output=True, check=True)

@@ -385,6 +385,7 @@ class TestCli:
             (["analyze", "--axes", "0"], "num_axes must be >= 1"),
             (["analyze", "--seed", "-1"], "seed must be nonnegative"),
             (["stats", "--words", "a,b,c", "--seed", "-1"], "seed must be nonnegative"),
+            (["stats", "--words", "a,b"], "stats needs at least 3 vertex words, got 2"),
         ],
     )
     def test_knobs_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, message):
