@@ -20,6 +20,7 @@ from embshape import (
     emit_report,
     format_glove_text,
     generate_simplex_cloud,
+    normalized,
     project_triple,
     run_analysis,
     topk_neighbors,
@@ -27,6 +28,7 @@ from embshape import (
 )
 from embshape import embeddings
 from embshape.cli import main
+from embshape.report import aggregate_triple_stats, sample_triple_stats
 from embshape.stages import StageTimer
 
 
@@ -343,6 +345,51 @@ class TestCli:
         data = json.loads(capsysbinary.readouterr().out)
         assert data["aggregates"]["sample_size"] == 8
         assert data["aggregates"]["mean_inside_triangle_fraction"] == 1.0
+
+    def test_analyze_normalize_reports_the_normalized_space(
+        self, cloud_file, small_cloud, tmp_path
+    ):
+        args = ["analyze", str(cloud_file), "--triple-samples", "10"]
+        plain, unit = tmp_path / "plain.json", tmp_path / "unit.json"
+        assert main(args + ["-o", str(plain)]) == 0
+        assert main(args + ["--normalize", "-o", str(unit)]) == 0
+        config = AnalysisConfig(
+            input_path=str(cloud_file), normalize=True, triple_samples=10
+        )
+        expected = analyze_space(
+            normalized(small_cloud.space), config, source=str(cloud_file)
+        )
+        assert unit.read_bytes() == emit_report(expected, "json")
+        assert unit.read_bytes() != plain.read_bytes()
+
+    def test_project_normalize_projects_the_normalized_space(
+        self, cloud_file, small_cloud, tmp_path
+    ):
+        args = ["project", str(cloud_file), "--words", "w000001", "w000002", "w000003"]
+        plain, unit = tmp_path / "plain.csv", tmp_path / "unit.csv"
+        assert main(args + ["-o", str(plain)]) == 0
+        assert main(args + ["--normalize", "-o", str(unit)]) == 0
+        space = small_cloud.space
+        triple = tuple(space.index[w] for w in args[-3:])
+        assert unit.read_bytes() == emit_projection(normalized(space), triple, "csv")
+        assert unit.read_bytes() != plain.read_bytes()
+
+    def test_stats_normalize_samples_the_normalized_space(
+        self, cloud_file, small_cloud, tmp_path
+    ):
+        words = ["w000001", "w000002", "w000003", "w000004"]
+        args = ["stats", str(cloud_file), "--words", ",".join(words),
+                "--triple-samples", "8", "--seed", "3"]
+        plain, unit = tmp_path / "plain.json", tmp_path / "unit.json"
+        assert main(args + ["-o", str(plain)]) == 0
+        assert main(args + ["--normalize", "-o", str(unit)]) == 0
+        space = small_cloud.space
+        indices = [space.index[w] for w in words]
+        triples = sample_triple_stats(normalized(space), indices, 8, 3)
+        data = json.loads(unit.read_text())
+        assert data["triple_sample"] == triples
+        assert data["aggregates"] == aggregate_triple_stats(triples)
+        assert data != json.loads(plain.read_text())
 
     def test_missing_file_exits_nonzero_with_error_prefix(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope.txt")])
