@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .embeddings import load_embeddings, normalized, write_glove_text, format_glove_text
+from .embeddings import load_embeddings, write_glove_text
 from .errors import EmbshapeError
 from .report import (
     AnalysisConfig,
@@ -141,11 +141,12 @@ def _write_bytes(payload: bytes, out: str) -> None:
             fh.write(payload)
 
 
-def _load_space(args: argparse.Namespace):
-    space = load_embeddings(args.input, max_words=args.max_words)
-    if args.normalize:
-        space = normalized(space)
-    return space
+def _check_distinct(words: list[str]) -> None:
+    """Reject a repeated vertex word before the input is read: its triples
+    would be degenerate or drawn more often than the others."""
+    for i, w in enumerate(words):
+        if w in words[:i]:
+            raise ValueError("vertex word %r is given more than once" % w)
 
 
 def _resolve_words(space, words):
@@ -180,7 +181,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    space = _load_space(args)
+    _check_distinct(args.words)
+    space = load_embeddings(args.input, max_words=args.max_words, normalize=args.normalize)
     ia, ib, ic = _resolve_words(space, args.words)
     _write_bytes(emit_projection(space, (ia, ib, ic), args.format), args.out)
     return 0
@@ -196,13 +198,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         regular=not args.irregular,
     )
-    if args.out == "-":
-        sys.stdout.write(format_glove_text(cloud.space))
-        sys.stdout.flush()
-        truth_path = args.truth
-    else:
-        write_glove_text(cloud.space, args.out)
-        truth_path = args.truth if args.truth else args.out + ".truth.json"
+    write_glove_text(cloud.space, sys.stdout if args.out == "-" else args.out)
+    truth_path = args.truth or (None if args.out == "-" else args.out + ".truth.json")
     if truth_path:
         write_ground_truth(cloud, truth_path)
     return 0
@@ -214,7 +211,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     words = [w for w in args.words.split(",") if w]
     if len(words) < 3:
         raise ValueError("stats needs at least 3 vertex words, got %d" % len(words))
-    space = _load_space(args)
+    _check_distinct(words)
+    space = load_embeddings(args.input, max_words=args.max_words, normalize=args.normalize)
     indices = _resolve_words(space, words)
     triples = sample_triple_stats(space, indices, args.triple_samples, args.seed)
     payload = {

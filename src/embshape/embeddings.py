@@ -14,7 +14,6 @@ import io
 import logging
 import multiprocessing
 import os
-import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -113,10 +112,6 @@ def detect_format(first_line: str) -> str:
     return GLOVE_TEXT
 
 
-# Zero-width split points after a CR that is not part of a CRLF.
-_LONE_CR_END = re.compile(rb"(?<=\r)(?!\n)")
-
-
 def _byte_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[bytes]:
     """The lines of ``source`` as UTF-8 bytes.
 
@@ -138,11 +133,9 @@ def _byte_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[b
         source = io.BytesIO(source)
     lineno = 0
     for chunk in source:
-        if b"\r" in chunk:
-            raws = [r for r in _LONE_CR_END.split(chunk) if r]
-        else:
-            raws = (chunk,)
-        for raw in raws:
+        # A chunk ends at its one LF, or at the end of the input. bytes
+        # break lines only at LF, CRLF and CR, so a lone CR ends a line too.
+        for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
             lineno += 1
             if not raw.isascii():
                 try:
@@ -455,24 +448,33 @@ def load_embeddings(
     path: Union[str, Path],
     fmt: str | None = None,
     max_words: int = DEFAULT_MAX_WORDS,
+    normalize: bool = False,
 ) -> EmbeddingSpace:
-    """Parse the file at ``path``; '-' reads stdin."""
+    """Parse the file at ``path``; '-' reads stdin. With ``normalize`` the
+    rows are scaled to unit length (see ``normalized``)."""
     source = sys.stdin.buffer if str(path) == "-" else path
-    return parse_embeddings(source, fmt=fmt, max_words=max_words)
+    space = parse_embeddings(source, fmt=fmt, max_words=max_words)
+    return normalized(space) if normalize else space
+
+
+def write_glove_text(space: EmbeddingSpace, out: Union[str, Path, TextIO]) -> None:
+    """Write a space as GloVe text to a path or a text stream, one row at a
+    time, and flush the stream. Coordinates use the shortest representation
+    that round-trips float64 exactly."""
+    if isinstance(out, (str, Path)):
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            write_glove_text(space, fh)
+        return
+    for word, row in zip(space.words, space.vectors):
+        out.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    out.flush()
 
 
 def format_glove_text(space: EmbeddingSpace) -> str:
-    """Render a space back to GloVe text. Coordinates use the shortest
-    representation that round-trips float64 exactly."""
-    lines = []
-    for word, row in zip(space.words, space.vectors):
-        lines.append(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
-    return "".join(lines)
-
-
-def write_glove_text(space: EmbeddingSpace, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_glove_text(space))
+    """The GloVe text of a space, as ``write_glove_text`` writes it."""
+    buf = io.StringIO()
+    write_glove_text(space, buf)
+    return buf.getvalue()
 
 
 def normalized(space: EmbeddingSpace) -> EmbeddingSpace:

@@ -93,29 +93,6 @@ class ExtractionParams:
             raise ValueError("seed must be nonnegative")
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression; roots are the
-    smallest member so components come out deterministic."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def find_candidates(
     space: EmbeddingSpace, pca: PcaModel, num_axes: int
 ) -> list[VertexCandidate]:
@@ -182,16 +159,20 @@ def glue_by_neighbor_sets(
     neighbor_sets: list[frozenset], threshold: float
 ) -> list[list[int]]:
     """Connected components linking items whose sets have Jaccard
-    similarity >= threshold. Returns components as sorted index lists."""
-    uf = UnionFind(len(neighbor_sets))
-    for i in range(len(neighbor_sets)):
-        for j in range(i + 1, len(neighbor_sets)):
-            if _jaccard(neighbor_sets[i], neighbor_sets[j]) >= threshold:
-                uf.union(i, j)
+    similarity >= threshold. Returns components as sorted index lists,
+    ordered by their smallest member."""
+    # every item is labelled with the smallest member of its component
+    n = len(neighbor_sets)
+    label = list(range(n))
+    for i, a in enumerate(neighbor_sets):
+        for j in range(i + 1, n):
+            if label[i] != label[j] and _jaccard(a, neighbor_sets[j]) >= threshold:
+                keep, drop = sorted((label[i], label[j]))
+                label = [keep if x == drop else x for x in label]
     groups: dict[int, list[int]] = {}
-    for i in range(len(neighbor_sets)):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [groups[root] for root in sorted(groups)]
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return list(groups.values())
 
 
 def glue_candidates(

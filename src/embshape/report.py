@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .embeddings import DEFAULT_MAX_WORDS, EmbeddingSpace, load_embeddings, normalized
+from .embeddings import DEFAULT_MAX_WORDS, EmbeddingSpace, load_embeddings
 from .extractor import (
     ExtractionParams,
     check_sample_count,
@@ -233,9 +233,9 @@ def run_analysis(
     stage includes the optional normalization."""
     timer = timer or StageTimer()
     with timer.stage("parse"):
-        space = load_embeddings(config.input_path, max_words=config.max_words)
-        if config.normalize:
-            space = normalized(space)
+        space = load_embeddings(
+            config.input_path, max_words=config.max_words, normalize=config.normalize
+        )
     return analyze_space(space, config, source=config.input_path, timer=timer)
 
 

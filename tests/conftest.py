@@ -1,11 +1,16 @@
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
-# allow running the suite from a fresh checkout without installing
+# allow running the suite from a fresh checkout without installing, also in
+# the Python child processes that tests start
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+_paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+if _paths[:1] != [str(SRC)]:
+    os.environ["PYTHONPATH"] = os.pathsep.join([str(SRC)] + _paths)
 
 import numpy as np
 import pytest

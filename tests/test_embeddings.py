@@ -20,8 +20,10 @@ from embshape import (
     EmbeddingSpace,
     detect_format,
     format_glove_text,
+    load_embeddings,
     normalized,
     parse_embeddings,
+    write_glove_text,
 )
 from embshape import embeddings
 from embshape.embeddings import BLOCK_ROWS, DEFAULT_MAX_WORDS, W2V_TEXT
@@ -420,6 +422,36 @@ class TestSpace:
         assert norms[1] == pytest.approx(1.0, abs=1e-12)
         assert norms[2] == 0.0  # zero rows stay put
         assert np.array_equal(space.vectors[0], [3.0, 4.0])  # original untouched
+
+    def test_load_with_normalize_is_the_normalized_load(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vectors = rng.standard_normal((300, 7)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+        vectors[5] = 0.0
+        path = tmp_path / "space.txt"
+        write_glove_text(EmbeddingSpace(["w%d" % i for i in range(300)], vectors), path)
+        for max_words in (DEFAULT_MAX_WORDS, 250):
+            unit = load_embeddings(path, max_words=max_words, normalize=True)
+            plain = load_embeddings(path, max_words=max_words)
+            assert unit.words == plain.words
+            assert unit.vectors.tobytes() == normalized(plain).vectors.tobytes()
+            assert unit.vectors.tobytes() != plain.vectors.tobytes()
+
+
+class TestWriteGloveText:
+    def test_rows_stream_to_a_file(self, tmp_path):
+        rng = np.random.default_rng(2)
+        space = EmbeddingSpace(
+            ["w%d" % i for i in range(5000)], rng.standard_normal((5000, 50))
+        )
+        path = tmp_path / "space.txt"
+        tracemalloc.start()
+        try:
+            write_glove_text(space, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4  # the text is never held whole
+        assert path.read_text(encoding="utf-8") == format_glove_text(space)
 
 
 def _rows(start: int, stop: int) -> list[bytes]:

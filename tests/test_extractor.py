@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from embshape import (
     DegenerateSamplingError,
@@ -33,6 +35,42 @@ def _space(vectors):
 def _bits(ranked):
     """(index, similarity) pairs with the similarity's exact bits."""
     return [(i, float(s).hex()) for i, s in ranked]
+
+
+def _bfs_components(sets, threshold):
+    """Oracle: breadth-first search over the explicit Jaccard links,
+    started from each unvisited item in index order."""
+    seen, components = set(), []
+    for start in range(len(sets)):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = [start], []
+        while queue:
+            i = queue.pop(0)
+            component.append(i)
+            for j in range(len(sets)):
+                if j not in seen and len(sets[i] & sets[j]) / len(sets[i] | sets[j]) >= threshold:
+                    seen.add(j)
+                    queue.append(j)
+        components.append(sorted(component))
+    return components
+
+
+# Links of a chain of sets {k, k+1} have Jaccard 1/3; shuffled, the chain's
+# pieces form as separate components that later links join.
+_chains = st.integers(min_value=2, max_value=14).flatmap(
+    lambda n: st.permutations([frozenset({k, k + 1}) for k in range(n)])
+)
+_families = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=7), min_size=1, max_size=5),
+    min_size=1,
+    max_size=14,
+)
+_thresholds = st.one_of(
+    st.sampled_from([0.0, 0.2, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
 
 
 def brute_force_extremes(space, pca, num_axes):
@@ -217,6 +255,15 @@ class TestGlue:
         assert jac(sets[0], sets[2]) == 0.2  # below threshold
         components = glue_by_neighbor_sets(sets, 0.3)
         assert components == [[0, 1, 2]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets=st.one_of(_families, _chains), threshold=_thresholds)
+    @example(  # {0, 2} and {1, 3} form first, then the link 2-3 joins them
+        sets=[frozenset({0, 1}), frozenset({3, 4}), frozenset({1, 2}), frozenset({2, 3})],
+        threshold=0.3,
+    )
+    def test_components_match_a_breadth_first_search(self, sets, threshold):
+        assert glue_by_neighbor_sets(sets, threshold) == _bfs_components(sets, threshold)
 
     def test_gluing_never_increases_count(self, small_cloud):
         space = small_cloud.space

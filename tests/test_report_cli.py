@@ -210,6 +210,15 @@ class TestCli:
         truth = json.loads((tmp_path / "cloud.txt.truth.json").read_text())
         assert len(truth["vertex_tokens"]) == 4
 
+    def test_synth_to_stdout_writes_the_file_bytes(self, tmp_path, capsysbinary):
+        args = ["synth", "--dim", "6", "--vertices", "4", "--points", "50", "--seed", "3"]
+        out, truth = tmp_path / "cloud.txt", tmp_path / "stdout.truth.json"
+        assert main(args + ["-o", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(args + ["-o", "-", "--truth", str(truth)]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        assert truth.read_bytes() == (tmp_path / "cloud.txt.truth.json").read_bytes()
+
     def test_synth_defaults_are_the_generator_defaults(self, tmp_path):
         out = tmp_path / "cloud.txt"
         rc = main(["synth", "--dim", "6", "--vertices", "4", "--points", "50", "-o", str(out)])
@@ -433,6 +442,9 @@ class TestCli:
             (["analyze", "--seed", "-1"], "seed must be nonnegative"),
             (["stats", "--words", "a,b,c", "--seed", "-1"], "seed must be nonnegative"),
             (["stats", "--words", "a,b"], "stats needs at least 3 vertex words, got 2"),
+            (["stats", "--words", "a,a,b"], "vertex word 'a' is given more than once"),
+            (["stats", "--words", "a,b,c,b"], "vertex word 'b' is given more than once"),
+            (["project", "--words", "a", "a", "b"], "vertex word 'a' is given more than once"),
         ],
     )
     def test_knobs_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, message):
