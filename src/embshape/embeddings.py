@@ -10,12 +10,16 @@ truncating to the first ``max_words`` rows gives the most frequent words.
 
 from __future__ import annotations
 
+import collections
+import gzip
 import io
 import logging
 import multiprocessing
 import os
+import select
 import sys
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -112,6 +116,11 @@ def detect_format(first_line: str) -> str:
     return GLOVE_TEXT
 
 
+# The first bytes of the containers an embedding release may come in.
+_GZIP_MAGIC = b"\x1f\x8b"
+_ZIP_MAGIC = b"PK\x03\x04"
+
+
 def _byte_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[bytes]:
     """The lines of ``source`` as UTF-8 bytes.
 
@@ -119,7 +128,10 @@ def _byte_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[b
     CR; text streams end them as they iterate and are encoded line by
     line. A line of a binary source that is not ASCII is decoded to check
     it, so invalid UTF-8 is reported with the number of the line that
-    holds it.
+    holds it. A binary source that starts with the gzip magic bytes is
+    read decompressed; one that is a zip archive, or binary word2vec (a
+    'N D' header and then a row that is not text), fails with an error
+    that names the format.
     """
     if isinstance(source, io.TextIOBase):
         for line in source:
@@ -131,12 +143,33 @@ def _byte_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[b
         return
     if isinstance(source, bytes):
         source = io.BytesIO(source)
+    head = _first_bytes(source, len(_ZIP_MAGIC))
+    if head.startswith(_ZIP_MAGIC):
+        raise EmbeddingFormatError(
+            "the input is a zip archive; extract the embedding file from it and "
+            "read that (e.g. unzip -p glove.6B.zip glove.6B.300d.txt > glove.txt)"
+        )
+    if head.startswith(_GZIP_MAGIC):
+        try:
+            with gzip.GzipFile(fileobj=source) as fh:
+                yield from _byte_lines(fh)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise EmbeddingFormatError("invalid gzip input (%s)" % exc) from None
+        return
     lineno = 0
+    header = b""
     for chunk in source:
         # A chunk ends at its one LF, or at the end of the input. bytes
         # break lines only at LF, CRLF and CR, so a lone CR ends a line too.
         for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
             lineno += 1
+            if lineno == 2 and _is_binary_w2v_row(header, raw):
+                raise EmbeddingFormatError(
+                    "line 2: a binary word2vec row; only the text format is read, "
+                    "so convert the file first (e.g. with gensim: KeyedVectors."
+                    "load_word2vec_format(path, binary=True).save_word2vec_format("
+                    "out, binary=False))"
+                )
             if not raw.isascii():
                 try:
                     raw.decode("utf-8")
@@ -145,7 +178,41 @@ def _byte_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[b
                         "line %d: invalid UTF-8 at byte %d of the line (%s)"
                         % (lineno, exc.start + 1, exc.reason)
                     ) from None
+            if lineno == 1:
+                header = raw
             yield raw
+
+
+def _first_bytes(source: BinaryIO, size: int) -> bytes:
+    """The first ``size`` bytes of a binary stream, left to be read: b"" for
+    a stream that can neither peek nor seek, or an iterable of lines."""
+    if hasattr(source, "peek"):
+        return source.peek(size)[:size]
+    if isinstance(source, io.IOBase) and source.seekable():
+        start = source.tell()
+        head = source.read(size)
+        source.seek(start)
+        return head
+    return b""
+
+
+def _is_binary_w2v_row(header: bytes, row: bytes) -> bool:
+    """Whether ``row``, the line after ``header``, starts the binary word2vec
+    format: ``header`` is a 'N D' line, and ``row`` is not text (it holds a
+    NUL byte or is not UTF-8) and holds fewer than D spaces, so it would
+    fail as a text row anyway."""
+    if b"\0" not in row:
+        try:
+            row.decode("utf-8")
+            return False
+        except UnicodeDecodeError:
+            pass
+    parts = header.removeprefix(_BOM).split()
+    return (
+        len(parts) == 2
+        and all(part.isdigit() for part in parts)
+        and row.count(b" ") < int(parts[1])
+    )
 
 
 def _text(data: bytes) -> str:
@@ -157,7 +224,7 @@ def _text(data: bytes) -> str:
 
 
 # Kept rows are converted this many at a time, one np.loadtxt call per block.
-BLOCK_ROWS = 4096
+BLOCK_ROWS = 1024
 
 _BOM = "\ufeff".encode()
 # The ASCII characters that str.rstrip() strips.
@@ -193,7 +260,7 @@ def _loadtxt_block(coords: list[bytes], dim: int) -> np.ndarray | None:
     None when that call cannot stand for ``_row_vector`` on every row: a
     row holds a non-ASCII byte or one of ``_LOADTXT_ONLY_SPACE``, or loadtxt
     raises, returns another shape or a non-finite value. The parent and its
-    children convert blocks with this one function.
+    worker convert blocks with this one function.
     """
     if not all(row.isascii() for row in coords) or any(
         ch in row for row in coords for ch in _LOADTXT_ONLY_SPACE
@@ -210,26 +277,43 @@ def _loadtxt_block(coords: list[bytes], dim: int) -> np.ndarray | None:
     return block
 
 
-def _helper_main(coords: list[bytes], dim: int, out: BinaryIO) -> None:
-    """A child process: convert the block the fork copied with
-    ``_loadtxt_block`` and write its float64 bytes to the memory file
-    ``out``; exit with 0 when ``out`` holds them, 1 when it was rejected."""
-    code = 1
+# Blocks the worker may hold at once: one it converts and one written for it
+# to take next, so it need not wait for the parent between blocks.
+_SLOTS = 2
+# A job is the slot's number and then the byte size of its rows, little-endian.
+_JOB_BYTES = 9
+# The parent writes a block's rows to a slot through a buffer of this size.
+_WRITE_BUFFER = 1 << 18
+
+
+def _helper_main(jobs: int, replies: int, parent_ends: tuple, slots: tuple, dim: int) -> None:
+    """The worker process. It takes (slot, size) jobs from the ``jobs`` pipe
+    in order. For each it converts the ``size`` bytes of newline-joined
+    coordinate rows in the slot's input memory file with
+    ``_loadtxt_block``, writes the float64 bytes to the slot's output
+    memory file and answers (slot, 1) on ``replies``, or (slot, 0) when the
+    block was rejected. It leaves when the parent closes the job pipe."""
     try:
-        block = _loadtxt_block(coords, dim)
-        if block is not None:
-            out.write(block)
-            out.flush()
-            code = 0
+        for fd in parent_ends:  # the fork's copies; open, they hide the parent's close
+            os.close(fd)
+        while len(job := os.read(jobs, _JOB_BYTES)) == _JOB_BYTES:
+            slot, size = job[0], int.from_bytes(job[1:], "little")
+            rows, out = slots[slot]
+            data = os.pread(rows, size, 0)
+            block = _loadtxt_block(data.split(b"\n"), dim) if len(data) == size else None
+            done = block is not None and os.pwrite(out, block, 0) == block.nbytes
+            os.write(replies, bytes((slot, done)))
+            del data, block  # hold neither while waiting for the next job
     finally:
-        # Leave at once, also on an error or an interrupt: nothing copied by
-        # the fork (atexit handlers, buffered output) may run a second time.
-        os._exit(code)
+        # Leave at once, at the end of the jobs, a broken pipe or an
+        # interrupt: nothing copied by the fork (atexit handlers, buffered
+        # output) may run a second time.
+        os._exit(0)
 
 
 def _helper_count() -> int:
-    """Child processes a parse runs at a time: one where ``fork`` and memory
-    files exist and the process may run on two or more CPUs, else none."""
+    """Worker processes a parse runs: one where ``fork`` and memory files
+    exist and the process may run on two or more CPUs, else none."""
     if hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity"):
         if "fork" in multiprocessing.get_all_start_methods():
             return min(2, len(os.sched_getaffinity(0))) - 1
@@ -242,21 +326,37 @@ class _BlockMatrix:
 
     A block is converted by ``_loadtxt_block``, or row by row with
     ``_row_vector`` when that rejects it, which raises the first bad row's
-    error. Where children may run, every other full block goes to a child
-    forked for it while the parent reads and converts the next; the fork
-    hands the child the rows and a memory file brings its matrix back. A
-    child that rejects its block, dies or exits early leaves the block to
-    the parent, so the fallback and every error stay in the parent, and
-    blocks are appended in file order, so the result does not depend on
-    which process converted a block. Call ``finish`` at the end of the
-    rows and ``close`` in a ``finally``.
+    error. Where a worker may run, one is forked when the second full block
+    is cut, and it serves ``_SLOTS`` slots of memory files: the parent
+    writes a block's rows to a free slot's input file, sends the job on a
+    pipe and reserves the block's rows in the matrix; the worker converts
+    the jobs in order, and the parent reads each matrix back from the
+    slot's output file into its rows. At each cut the parent collects the
+    blocks the worker has finished without waiting, then hands the new
+    block to the worker if a slot is free and otherwise converts it itself,
+    so each side takes as many blocks as it can.
+
+    A block the worker rejects, or holds when it dies, is converted by the
+    parent, so the fallback and every error stay in the parent. A block the
+    parent rebuilds row by row first waits for the worker's earlier blocks,
+    and a row error leaves no later block with the worker, so the first bad
+    row in file order is the one raised. Blocks keep their rows in file
+    order, so the result does not depend on which process converted a
+    block. Call ``finish`` at the end of the rows and ``close`` in a
+    ``finally``.
     """
 
     def __init__(self, dim: int):
         self.vectors = np.empty((0, dim))
         self._dim = dim
         self._may_fork = _helper_count() > 0
-        self._child = None  # the running child, its memory file and its block
+        self._worker = None  # the worker process, from its fork until it ends
+        self._jobs = self._replies = None  # the parent's ends of the two pipes
+        self._poll = None  # tells whether a reply has come
+        self._inputs: list[BinaryIO] = []  # per slot, the file its rows are written to
+        self._outputs: list[int] = []  # per slot, the memory file its matrix comes back in
+        self._free: list[int] = []  # the slots the parent may write to
+        self._held: collections.deque = collections.deque()  # (slot, first row, block) per job
         self._coords: list[bytes] = []  # the block being filled
         self._names: list[tuple[int, str]] = []  # its rows' line numbers and tokens
 
@@ -266,25 +366,29 @@ class _BlockMatrix:
         self._names.append((lineno, token))
         if len(self._coords) == BLOCK_ROWS:
             block = self._cut()
-            fork = self._may_fork and len(self.vectors) and self._child is None
-            if not (fork and self._fork(block)):
+            if self._may_fork and len(self.vectors):
+                self._may_fork = False
+                self._fork()
+            self._collect(wait=False)
+            if not (self._free and self._send(block)):
                 self._convert(block)
 
     def finish(self) -> None:
-        """Convert the rows of a short last block, after appending the
-        child's block, so the first bad row in file order is raised."""
+        """Convert the rows of a short last block and collect every block
+        the worker holds, so the first bad row in file order is raised."""
         if self._coords:
             self._convert(self._cut())
-        self._collect()
+        self._collect(wait=True)
 
     def close(self) -> None:
-        """Wait for the child, if one runs, and close its memory file."""
-        if self._child is not None:
-            proc, out, _ = self._child
-            self._child = None
-            proc.join()
-            proc.close()
-            out.close()
+        """End the worker, if one runs, and close the memory files."""
+        if self._worker is not None:
+            self._stop()
+        for fh in self._inputs:
+            fh.close()
+        for fd in self._outputs:
+            os.close(fd)
+        self._inputs, self._outputs = [], []
 
     def _cut(self) -> tuple:
         """The rows taken since the last cut, as one block."""
@@ -293,59 +397,132 @@ class _BlockMatrix:
         return block
 
     def _convert(self, block: tuple) -> None:
+        """Convert ``block`` here and append it after the worker's blocks."""
         matrix = _loadtxt_block(block[0], self._dim)
-        self._collect()
-        self._append(matrix, block)
+        if matrix is None:  # an earlier block's bad row is raised first
+            self._collect(wait=True)
+        self._fill(self._grow(len(block[0])), matrix, block)
 
-    def _collect(self) -> None:
-        """Append the block the child converts, if one runs: read from its
-        memory file when it exits with 0, otherwise converted here."""
-        if self._child is None:
-            return
-        proc, out, block = self._child
-        proc.join()
-        if proc.exitcode == 0:
-            out.seek(0)  # read, not mapped: a mapped block adds to the parent's peak
-            out.readinto(self._grow(len(block[0])))
-            stages.count("blocks")
-            self.close()
-        else:  # rejected, died or exited early
-            self.close()
-            self._convert(block)
+    def _send(self, block: tuple) -> bool:
+        """Write ``block``'s rows to a free slot, hand it to the worker and
+        reserve the block's rows in the matrix; False when the worker has
+        died."""
+        slot = self._free.pop()
+        fh = self._inputs[slot]
+        coords = block[0]
+        fh.seek(0)
+        fh.write(coords[0])
+        for row in coords[1:]:  # row by row: a joined copy would add to the peak
+            fh.write(b"\n")
+            fh.write(row)
+        fh.flush()
+        try:
+            os.write(self._jobs, bytes((slot,)) + fh.tell().to_bytes(8, "little"))
+        except BrokenPipeError:
+            self._stop()
+            return False
+        self._held.append((slot, len(self.vectors), block))
+        self._grow(len(coords))
+        return True
 
-    def _fork(self, block: tuple) -> bool:
-        """Start a child that converts ``block``; False when none can start."""
-        out = open(os.memfd_create("embshape-block"), "r+b")
+    def _collect(self, wait: bool) -> None:
+        """Put the blocks the worker has converted into their rows, in file
+        order; with ``wait``, every block it holds. A block it rejected, or
+        held when it died, is converted here."""
+        while self._held:
+            reply = self._reply(wait)
+            if reply is None:
+                return
+            slot, start, block = self._held.popleft()
+            rows = self.vectors[start : start + len(block[0])]
+            if reply == bytes((slot, 1)) and os.preadv(self._outputs[slot], [rows], 0) == rows.nbytes:
+                stages.count("blocks")
+            else:  # rejected, or the worker died
+                self._fill(rows, _loadtxt_block(block[0], self._dim), block)
+            if self._worker is not None:
+                self._free.append(slot)
+
+    def _reply(self, wait: bool) -> bytes | None:
+        """The worker's next (slot, done) reply: None when ``wait`` is false
+        and none has come, and b"" once the worker has died."""
+        if self._worker is None:
+            return b""
+        if not (wait or self._poll.poll(0)):
+            return None
+        reply = os.read(self._replies, 2)
+        if len(reply) < 2:  # the worker died; the parent converts its blocks
+            self._stop()
+        return reply
+
+    def _fork(self) -> None:
+        """Fork the worker and open its slots. Without a process to spare
+        every block is converted here."""
+        jobs, self._jobs = os.pipe()
+        self._replies, replies = os.pipe()
+        inputs = [os.memfd_create("embshape-rows") for _ in range(_SLOTS)]
+        self._outputs = [os.memfd_create("embshape-block") for _ in range(_SLOTS)]
         proc = multiprocessing.get_context("fork").Process(
-            target=_helper_main, args=(block[0], self._dim, out), daemon=True
+            target=_helper_main,
+            args=(
+                jobs,
+                replies,
+                (self._jobs, self._replies),
+                tuple(zip(inputs, self._outputs)),
+                self._dim,
+            ),
+            daemon=True,
         )
         try:
             with warnings.catch_warnings():
                 # From Python 3.12 fork() warns in a process with other
                 # threads, and the OpenBLAS pool counts. This fork is safe:
-                # the child runs only loadtxt, takes no lock another thread
+                # the worker runs only loadtxt, takes no lock another thread
                 # may hold, and leaves with os._exit.
                 warnings.filterwarnings(
                     "ignore", r"This process .* is multi-threaded", DeprecationWarning
                 )
                 proc.start()
-        except OSError:  # no process to spare: convert here from now on
-            out.close()
-            self._may_fork = False
-            return False
-        self._child = (proc, out, block)
-        return True
+        except OSError:  # no process to spare
+            for fd in (self._jobs, self._replies, *inputs, *self._outputs):
+                os.close(fd)
+            self._outputs = []
+            return
+        finally:
+            os.close(jobs)
+            os.close(replies)
+        self._worker = proc
+        self._inputs = [open(fd, "wb", buffering=_WRITE_BUFFER) for fd in inputs]
+        self._free = list(range(_SLOTS))
+        self._poll = select.poll()
+        self._poll.register(self._replies, select.POLLIN)
 
-    def _append(self, matrix: np.ndarray | None, block: tuple) -> None:
-        coords, names = block
+    def _stop(self) -> None:
+        """End the worker: closing the job pipe ends its loop, at the latest
+        once it has converted the blocks it holds."""
+        os.close(self._jobs)
+        os.close(self._replies)
+        self._worker.join()
+        self._worker.close()
+        self._worker = None
+        self._free = []
+
+    def _fill(self, rows: np.ndarray, matrix: np.ndarray | None, block: tuple) -> None:
+        """Write ``block``'s matrix into ``rows``. None rebuilds it row by
+        row, which raises the first bad row's error; no block is then left
+        with the worker, so no later block's error can take its place."""
         if matrix is None:
             stages.count("row_fallbacks")
-            matrix = np.vstack(
-                [_row_vector(n, t, _text(c)) for (n, t), c in zip(names, coords)]
-            )
+            coords, names = block
+            try:
+                matrix = np.vstack(
+                    [_row_vector(n, t, _text(c)) for (n, t), c in zip(names, coords)]
+                )
+            except EmbeddingFormatError:
+                self._held.clear()
+                raise
         else:
             stages.count("blocks")
-        self._grow(len(matrix))[:] = matrix
+        rows[:] = matrix
 
     def _grow(self, rows: int) -> np.ndarray:
         """Add ``rows`` rows to the matrix and return them. The rows are
@@ -374,7 +551,7 @@ def parse_embeddings(
 
     The text streams through as bytes; only tokens are decoded. The
     coordinates of kept rows are converted by ``_BlockMatrix``, in blocks
-    and partly in child processes, and the first error in file order is
+    and partly in a worker process, and the first error in file order is
     raised, whatever kind it is.
     """
     if max_words < 1:

@@ -47,6 +47,10 @@ class SyntheticCloud:
         }
 
 
+# Interior rows whose noise is drawn at a time.
+_NOISE_ROWS = 8192
+
+
 def _helmert_basis(v: int) -> np.ndarray:
     """(v-1) x v orthonormal rows spanning the sum-zero subspace."""
     basis = np.zeros((v - 1, v))
@@ -115,13 +119,19 @@ def generate_simplex_cloud(
     else:
         corners = rng.standard_normal((num_vertices, dim))
 
-    n_interior = num_points - num_vertices
-    weights = rng.dirichlet(np.full(num_vertices, alpha), size=n_interior)
-    interior = weights @ corners
-    noise = rng.standard_normal((n_interior, dim))
-    interior = interior + sigma * noise
+    weights = rng.dirichlet(np.full(num_vertices, alpha), size=num_points - num_vertices)
+    # The matrix is allocated once and filled in place. The interior is one
+    # GEMM, as a row-blocked product would round differently; its noise is
+    # drawn and added in row chunks, which give the same draws.
+    vectors = np.empty((num_points, dim))
+    vectors[:num_vertices] = corners
+    interior = vectors[num_vertices:]
+    np.matmul(weights, corners, out=interior)
+    del weights
+    for start in range(0, len(interior), _NOISE_ROWS):
+        rows = interior[start : start + _NOISE_ROWS]
+        rows += sigma * rng.standard_normal(rows.shape)
 
-    vectors = np.vstack((corners, interior)) if n_interior else corners
     words = ["w%06d" % (i + 1) for i in range(num_points)]
     return SyntheticCloud(
         space=EmbeddingSpace(words=words, vectors=vectors),

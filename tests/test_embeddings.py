@@ -1,11 +1,15 @@
+import gzip
 import io
 import json
 import logging
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 from pathlib import Path
 from typing import BinaryIO, Iterator, TextIO, Union
 from unittest import mock
@@ -690,6 +694,70 @@ class TestHelperProcess:
         assert space.words == expected.words
         assert space.vectors.tobytes() == expected.vectors.tobytes()
 
+    @pytest.mark.parametrize(
+        "block4,after",
+        [
+            (_rows(12, 16), [b"i 1"]),
+            (_rows(12, 13) + [b"w13 1_0 0.5"] + _rows(14, 16), []),
+        ],
+        ids=["then_a_short_row", "then_a_block_the_parent_rebuilds"],
+    )
+    def test_the_first_of_two_bad_worker_blocks_is_raised(self, helper, block4, after):
+        # blocks 2 and 3 go to the worker's two slots, and both hold a bad value
+        lines = _rows(0, 5) + [b"e x 1"] + _rows(6, 9) + [b"f x 1"] + _rows(10, 12)
+        lines += block4 + after + _rows(17, 20)
+        with pytest.raises(EmbeddingFormatError, match="^line 6: non-numeric"):
+            parse_embeddings(_text(lines))
+        assert helper.exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+    def test_a_worker_that_dies_mid_parse_leaves_its_blocks_to_the_parent(
+        self, helper, monkeypatch
+    ):
+        marked = embeddings._helper_main
+
+        def one_block_then_exit(*args):
+            # in the worker only: it converts one block and leaves on the next
+            loadtxt = embeddings._loadtxt_block
+            converted = []
+
+            def once(coords, dim):
+                if converted:
+                    os._exit(0)
+                converted.append(coords)
+                return loadtxt(coords, dim)
+
+            embeddings._loadtxt_block = once
+            marked(*args)
+
+        monkeypatch.setattr(embeddings, "_helper_main", one_block_then_exit)
+        fds = len(os.listdir("/proc/self/fd"))
+        data = _cloud_text(40, odd_row=22)
+        space = parse_embeddings(data)
+        assert helper.exists()
+        expected = _inline(data)
+        assert space.words == expected.words
+        assert space.vectors.tobytes() == expected.vectors.tobytes()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_the_worker_closes_its_copies_of_the_parents_pipe_ends(self, helper):
+        # Open in the worker, the job pipe's write end would keep the end of
+        # the jobs from reaching it, and the parse would wait for it forever.
+        def expire(signum, frame):
+            for proc in multiprocessing.active_children():
+                proc.kill()
+                proc.join()
+            pytest.fail("the worker outlived the parse")  # not an OSError, which join ignores
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            parse_embeddings(_cloud_text(30))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert helper.exists()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
     def test_nothing_outlives_a_parse(self, helper):
         # each child brings a sentinel pipe and a memory file
@@ -720,6 +788,60 @@ class TestHelperProcess:
         for report in reports:
             report["params"].pop("input")
         assert reports[0] == reports[1]
+
+
+class TestContainers:
+    def test_gzip_is_read_from_a_path_stdin_bytes_and_a_stream(self, tmp_path, monkeypatch):
+        data = _cloud_text(3 * BLOCK_ROWS + 5)
+        packed = gzip.compress(data)
+        path = tmp_path / "cloud.txt"  # found by its first bytes, not by a suffix
+        path.write_bytes(packed)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BufferedReader(io.BytesIO(packed))))
+        expected = parse_embeddings(data)
+        spaces = [load_embeddings(path), load_embeddings("-")]
+        spaces += [parse_embeddings(packed), parse_embeddings(io.BytesIO(packed))]
+        for space in spaces:
+            assert space.words == expected.words
+            assert space.vectors.tobytes() == expected.vectors.tobytes()
+
+    def test_a_truncated_gzip_input_is_an_error(self):
+        packed = gzip.compress(_cloud_text(50))
+        with pytest.raises(EmbeddingFormatError, match="^invalid gzip input "):
+            parse_embeddings(packed[:-10])
+
+    def test_a_zip_archive_names_the_format(self, tmp_path):
+        path = tmp_path / "glove.zip"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("glove.txt", _cloud_text(5))
+        for source in (path, path.read_bytes()):
+            with pytest.raises(EmbeddingFormatError, match="^the input is a zip archive; extract"):
+                parse_embeddings(source)
+
+    def test_binary_word2vec_names_the_format(self):
+        rows = [(b"the", [1.0, -0.5, 0.25]), (b"of", [0.125, 2.0, -1.0]), (b"and", [0.0, 3.5, 1.5])]
+        data = b"3 3\n" + b"".join(
+            token + b" " + np.array(values, dtype="<f4").tobytes() + b"\n" for token, values in rows
+        )
+        with pytest.raises(EmbeddingFormatError, match="^line 2: a binary word2vec row; only the text"):
+            parse_embeddings(data)
+        # gzip-compressed, as the common release ships
+        with pytest.raises(EmbeddingFormatError, match="^line 2: a binary word2vec row"):
+            parse_embeddings(gzip.compress(data))
+
+    @pytest.mark.parametrize("blocks", [3, 7])
+    def test_report_on_a_gzip_file_is_the_report_on_the_file(self, tmp_path, blocks):
+        path = tmp_path / "cloud.txt"
+        path.write_bytes(_cloud_text(blocks * BLOCK_ROWS))
+        packed = tmp_path / "cloud.txt.gz"
+        packed.write_bytes(gzip.compress(path.read_bytes()))
+        args = [sys.executable, "-m", "embshape", "stats", "--words", "w0,w1,w2"]
+        runs = [subprocess.run(args + [str(p)], capture_output=True, check=True) for p in (path, packed)]
+        with open(packed, "rb") as stdin:
+            runs.append(subprocess.run(args + ["-"], stdin=stdin, capture_output=True, check=True))
+        reports = [json.loads(run.stdout) for run in runs]
+        for report in reports:
+            report["params"].pop("input")
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestParseCounts:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from embshape import generate_simplex_cloud, triangle_stats, write_ground_truth
+from embshape import generate_simplex_cloud, synthetic, triangle_stats, write_ground_truth
 
 
 class TestGeneration:
@@ -140,3 +140,36 @@ class TestGroundTruth:
         assert data["vertex_tokens"] == ["w000001", "w000002", "w000003"]
         assert data["gen_params"]["dim"] == 5
         assert data["gen_params"]["seed"] == 12
+
+
+def _whole_array_vectors(dim, num_vertices, num_points, alpha, sigma, seed, regular):
+    """The cloud's matrix from whole-array expressions: one interior GEMM,
+    all the noise in one draw, then one stacked copy."""
+    rng = np.random.default_rng(seed)
+    if regular:
+        rotation = synthetic._random_rotation(rng, dim)
+        translation = rng.standard_normal(dim) / (2.0 * np.sqrt(dim))
+        corners = synthetic._regular_corners(dim, num_vertices) @ rotation.T + translation
+    else:
+        corners = rng.standard_normal((num_vertices, dim))
+    n_interior = num_points - num_vertices
+    weights = rng.dirichlet(np.full(num_vertices, alpha), size=n_interior)
+    interior = weights @ corners
+    interior = interior + sigma * rng.standard_normal((n_interior, dim))
+    return np.vstack((corners, interior))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(dim=16, num_vertices=6, sigma=0.05, regular=True),
+        dict(dim=16, num_vertices=9, sigma=0.01, regular=False),
+        dict(dim=16, num_vertices=6, sigma=0.0, regular=True),
+    ],
+    ids=["regular", "irregular", "sigma_0"],
+)
+def test_matrix_is_the_whole_array_expression_bit_for_bit(kwargs):
+    # over two noise chunks, and a last one that is short
+    params = dict(num_points=2 * synthetic._NOISE_ROWS + 500, alpha=1.5, seed=11, **kwargs)
+    cloud = generate_simplex_cloud(**params)
+    assert cloud.space.vectors.tobytes() == _whole_array_vectors(**params).tobytes()
