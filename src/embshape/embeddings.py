@@ -435,7 +435,8 @@ class _BlockMatrix:
                 return
             slot, start, block = self._held.popleft()
             rows = self.vectors[start : start + len(block[0])]
-            if reply == bytes((slot, 1)) and os.preadv(self._outputs[slot], [rows], 0) == rows.nbytes:
+            done = reply == bytes((slot, 1))
+            if done and os.preadv(self._outputs[slot], [rows], 0) == rows.nbytes:
                 stages.count("blocks")
             else:  # rejected, or the worker died
                 self._fill(rows, _loadtxt_block(block[0], self._dim), block)
@@ -461,15 +462,11 @@ class _BlockMatrix:
         self._replies, replies = os.pipe()
         inputs = [os.memfd_create("embshape-rows") for _ in range(_SLOTS)]
         self._outputs = [os.memfd_create("embshape-block") for _ in range(_SLOTS)]
+        slots = tuple(zip(inputs, self._outputs))
+        parent_ends = (self._jobs, self._replies)
         proc = multiprocessing.get_context("fork").Process(
             target=_helper_main,
-            args=(
-                jobs,
-                replies,
-                (self._jobs, self._replies),
-                tuple(zip(inputs, self._outputs)),
-                self._dim,
-            ),
+            args=(jobs, replies, parent_ends, slots, self._dim),
             daemon=True,
         )
         try:
