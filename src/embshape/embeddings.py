@@ -12,14 +12,22 @@ from __future__ import annotations
 
 import collections
 import gzip
+import hashlib
 import io
+import json
 import logging
 import multiprocessing
 import os
 import select
+import stat
 import sys
+import tempfile
+import threading
+import time
 import warnings
+import zipfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -225,6 +233,9 @@ def _text(data: bytes) -> str:
 
 # Kept rows are converted this many at a time, one np.loadtxt call per block.
 BLOCK_ROWS = 1024
+
+# The warning a repeated token logs; a cache hit logs those of its parse again.
+_DUPLICATE = "line %d: duplicate token %r, keeping first occurrence"
 
 _BOM = "\ufeff".encode()
 # The ASCII characters that str.rstrip() strips.
@@ -594,11 +605,7 @@ def parse_embeddings(
                 )
             token = _text(line[:cut])
             if token in seen:
-                log.warning(
-                    "line %d: duplicate token %r, keeping first occurrence",
-                    lineno,
-                    token,
-                )
+                log.warning(_DUPLICATE, lineno, token)
                 continue
             seen.add(token)
             words.append(token)
@@ -625,10 +632,219 @@ def load_embeddings(
     normalize: bool = False,
 ) -> EmbeddingSpace:
     """Parse the file at ``path``; '-' reads stdin. With ``normalize`` the
-    rows are scaled to unit length (see ``normalized``)."""
-    source = sys.stdin.buffer if str(path) == "-" else path
-    space = parse_embeddings(source, fmt=fmt, max_words=max_words)
+    rows are scaled to unit length (see ``normalized``).
+
+    A regular file goes through the parse cache: a repeat load of bytes
+    parsed before reads the words and matrix of that parse from its cache
+    entry, replays its duplicate-token warnings and counts a
+    ``cache_hits`` in the timed stage. Stdin is never cached.
+    """
+    if str(path) == "-":
+        space = parse_embeddings(sys.stdin.buffer, fmt=fmt, max_words=max_words)
+    else:
+        space = _load_file(path, fmt, max_words)
     return normalized(space) if normalize else space
+
+
+# The parse cache keeps, per real path, fmt and max_words, the words and
+# raw matrix of the last parse of a file, with the length and SHA-256 of
+# the bytes that parse read and whether it read to the end of the file. An
+# entry is served only while those bytes are unchanged: its first
+# ``length`` bytes hash the same and, for a parse that read to the end, the
+# size is the same. At most _CACHE_ENTRIES entries are kept.
+_CACHE_ENTRIES = 8
+# Written into each entry: change it when the same bytes would parse to
+# another space, so no entry of an older parse is served.
+_CACHE_FORMAT = 1
+# The source is read, and hashed, in chunks of this size.
+_READ_CHUNK = 1 << 20
+# What a cache entry that cannot be read raises; each is a miss.
+_ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
+
+
+def _cache_dir() -> Path:
+    """$XDG_CACHE_HOME/embshape, or ~/.cache/embshape when that is not
+    set to an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "embshape"
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw file that hashes and counts the bytes read through it, and
+    notes whether a read reached the end of the file."""
+
+    def __init__(self, raw: io.RawIOBase):
+        self._raw = raw
+        self.sha = hashlib.sha256()
+        self.length = 0
+        self.eof = False
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(buf)
+        if n:
+            self.sha.update(memoryview(buf)[:n])
+            self.length += n
+        else:
+            self.eof = True
+        return n
+
+
+def _digest(path: str, length: int) -> str | None:
+    """The SHA-256 of the first ``length`` bytes of ``path``; None when the
+    file is shorter."""
+    view = memoryview(bytearray(_READ_CHUNK))
+    with open(path, "rb", buffering=0) as raw:
+        reader = _HashingReader(raw)
+        while reader.length < length:
+            if not reader.readinto(view[: min(length - reader.length, _READ_CHUNK)]):
+                return None
+    return reader.sha.hexdigest()
+
+
+class _DuplicateLog(logging.Handler):
+    """While entered, collects the (line, token) of each duplicate-token
+    warning that this thread's parse logs. ``found`` is None when warnings
+    are off, as a parse then logs none."""
+
+    def __init__(self):
+        super().__init__()
+        self.found = [] if log.isEnabledFor(logging.WARNING) else None
+        self._thread = threading.get_ident()
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if self.found is not None and record.msg == _DUPLICATE and record.thread == self._thread:
+            self.found.append(list(record.args))
+
+    def __enter__(self) -> "_DuplicateLog":
+        log.addHandler(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        log.removeHandler(self)
+
+
+def _load_file(path: Union[str, Path], fmt: str | None, max_words: int) -> EmbeddingSpace:
+    """Serve ``path`` from its cache entry, or parse it and write the entry.
+    A path that is not a regular file is parsed as it always was."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        info = None
+    if info is None or not stat.S_ISREG(info.st_mode):
+        return parse_embeddings(path, fmt=fmt, max_words=max_words)
+    key = {
+        "version": _CACHE_FORMAT,
+        "source": os.path.realpath(path),
+        "fmt": fmt,
+        "max_words": max_words,
+    }
+    name = hashlib.sha256(json.dumps(key).encode()).hexdigest()[:32]
+    entry = _cache_dir() / (name + ".npz")
+    space = _read_entry(entry, key, info.st_size)
+    if space is not None:
+        stages.count("cache_hits")
+        return space
+    with open(path, "rb", buffering=0) as raw:
+        reader = _HashingReader(raw)
+        with io.BufferedReader(reader, _READ_CHUNK) as fh, _DuplicateLog() as duplicates:
+            space = parse_embeddings(fh, fmt=fmt, max_words=max_words)
+    meta = dict(
+        key,
+        length=reader.length,
+        sha256=reader.sha.hexdigest(),
+        eof=reader.eof,
+        duplicates=duplicates.found,
+    )
+    _write_entry(entry, meta, space)
+    return space
+
+
+def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
+    """The space of ``entry`` when it was written for ``key`` and the
+    source bytes it was parsed from are unchanged, after replaying the
+    parse's duplicate warnings; None in any other case. The source is
+    hashed in a thread while the entry is read: both release the GIL."""
+    try:
+        # np.load leaves a file it opened open when the zip is corrupt
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            meta = json.loads(npz["meta"].tobytes())
+            if {k: meta[k] for k in key} != key or meta["eof"] and meta["length"] != size:
+                return None
+            if meta["duplicates"] is None and log.isEnabledFor(logging.WARNING):
+                return None
+            with ThreadPoolExecutor(1) as pool:
+                digest = pool.submit(_digest, key["source"], meta["length"])
+                words = npz["words"].tobytes().decode("utf-8", "surrogatepass").split("\n")
+                space = EmbeddingSpace(words=words, vectors=npz["vectors"])
+                if digest.result() != meta["sha256"]:
+                    return None
+    except _ENTRY_ERRORS:
+        return None
+    try:
+        _touch(entry)
+    except OSError:
+        pass
+    for lineno, token in meta["duplicates"] or ():
+        log.warning(_DUPLICATE, lineno, token)
+    return space
+
+
+def _touch(entry: Path) -> None:
+    """Mark ``entry`` as used now. Entries are ordered by last use through
+    their mtime, set from the clock: a file system stamps coarser."""
+    now = time.time_ns()
+    os.utime(entry, ns=(now, now))
+
+
+def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
+    """Write ``entry`` to a temp file beside it and move it into place,
+    then prune the cache. A cache that cannot be written is left as it is."""
+    words = "\n".join(space.words).encode("utf-8", "surrogatepass")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=entry.parent)
+        try:
+            with open(fd, "wb") as fh:
+                np.savez(
+                    fh,
+                    meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+                    words=np.frombuffer(words, np.uint8),
+                    vectors=space.vectors,
+                )
+            _touch(temp)
+            os.replace(temp, entry)
+        except BaseException:
+            os.unlink(temp)
+            raise
+        _prune(entry)
+    except OSError:
+        pass
+
+
+def _prune(entry: Path) -> None:
+    """Delete the entries whose source file is gone, or that cannot be
+    read, and beyond ``entry`` keep the ``_CACHE_ENTRIES - 1`` used last."""
+    kept = []
+    for other in entry.parent.glob("*.npz"):
+        if other == entry:
+            continue
+        try:
+            with open(other, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+                source = json.loads(npz["meta"].tobytes())["source"]
+            if os.path.exists(source):
+                kept.append((other.stat().st_mtime_ns, other))
+                continue
+        except _ENTRY_ERRORS:
+            pass
+        other.unlink(missing_ok=True)
+    kept.sort(reverse=True)
+    for _, other in kept[_CACHE_ENTRIES - 1 :]:
+        other.unlink(missing_ok=True)
 
 
 def write_glove_text(space: EmbeddingSpace, out: Union[str, Path, TextIO]) -> None:

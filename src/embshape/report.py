@@ -310,20 +310,23 @@ def emit_projection(
     raise ValueError("unknown projection format %r" % fmt)
 
 
+def _flags(mask: np.ndarray) -> list[str]:
+    return ["true" if inside else "false" for inside in mask.tolist()]
+
+
 def _projection_csv(space, coords, in_tri, in_circ) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["token", "x", "y", "inside_triangle", "inside_incircle"])
-    for i, word in enumerate(space.words):
-        writer.writerow(
-            [
-                word,
-                repr(float(coords[i, 0])),
-                repr(float(coords[i, 1])),
-                "true" if in_tri[i] else "false",
-                "true" if in_circ[i] else "false",
-            ]
+    writer.writerows(
+        zip(
+            space.words,
+            map(repr, coords[:, 0].tolist()),
+            map(repr, coords[:, 1].tolist()),
+            _flags(in_tri),
+            _flags(in_circ),
         )
+    )
     return buf.getvalue().encode("utf-8")
 
 
@@ -344,6 +347,7 @@ def _projection_svg(space, triple, coords, tri2d, in_tri, center, radius) -> byt
     span = max(xmax - xmin, ymax - ymin, 1e-12)
     scale = (size - 2 * pad) / span
 
+    # each maps a coordinate, or an array of them, to the canvas
     def sx(x):
         return pad + (x - xmin) * scale
 
@@ -357,12 +361,12 @@ def _projection_svg(space, triple, coords, tri2d, in_tri, center, radius) -> byt
         'viewBox="0 0 %d %d">\n' % (size, size, size, size),
         '<rect width="%d" height="%d" fill="white"/>\n' % (size, size),
     ]
-    for i in range(coords.shape[0]):
-        color = "#4878a8" if in_tri[i] else "#c44e52"
-        parts.append(
-            '<circle cx="%.3f" cy="%.3f" r="1.2" fill="%s" fill-opacity="0.45"/>\n'
-            % (sx(coords[i, 0]), sy(coords[i, 1]), color)
-        )
+    colors = ["#4878a8" if inside else "#c44e52" for inside in in_tri.tolist()]
+    parts.extend(
+        '<circle cx="%.3f" cy="%.3f" r="1.2" fill="%s" fill-opacity="0.45"/>\n'
+        % point
+        for point in zip(sx(coords[:, 0]).tolist(), sy(coords[:, 1]).tolist(), colors)
+    )
     tri_pts = " ".join(
         "%.3f,%.3f" % (sx(x), sy(y)) for x, y in tri2d
     )

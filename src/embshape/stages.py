@@ -2,10 +2,11 @@
 
 ``StageTimer.stage(name)`` times a block and makes it the stage that
 ``count`` charges: neighbor queries, triangles whose containment was
-computed, degenerate draws that were redrawn, and parsed blocks of rows,
-converted whole or rebuilt row by row. The counts are
-deterministic for a given input, flags and seed. Outside a timed stage
-``count`` does nothing. None of it enters a report.
+computed, degenerate draws that were redrawn, parsed blocks of rows,
+converted whole or rebuilt row by row, and loads served from the parse
+cache. The counts are deterministic for a given input, flags, seed and
+cache state. Outside a timed stage ``count`` does nothing. None of it
+enters a report.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
-_WORK_KINDS = ("neighbor_queries", "triangles", "redraws", "blocks", "row_fallbacks")
+_WORK_KINDS = (
+    "neighbor_queries",
+    "triangles",
+    "redraws",
+    "blocks",
+    "row_fallbacks",
+    "cache_hits",
+)
 
 _current_stage: ContextVar[dict | None] = ContextVar("current_stage", default=None)
 

@@ -27,6 +27,7 @@ from embshape import (
     write_glove_text,
 )
 from embshape import embeddings
+from embshape import report as report_module
 from embshape.cli import main
 from embshape.report import aggregate_triple_stats, sample_triple_stats
 from embshape.stages import StageTimer
@@ -175,6 +176,65 @@ class TestEmitProjection:
             emit_projection(small_cloud.space, (0, 1, 2), "png")
 
 
+class TestProjectionRowsMatchThePerRowFormulas:
+    """The emitters format Python floats taken from whole columns; their
+    bytes must be those of the per-row formulas below."""
+
+    @pytest.fixture()
+    def odd(self):
+        words = ["a,b", 'q"q', "<&>", "plain", "x'yé", "tab\there"]
+        coords = np.array(
+            [[-0.0, 5e-324], [1e300, -0.0], [0.0, 1.0], [-2.5e-310, 3.0], [1 / 3, -1e-300], [7.0, 2.0]]
+        )
+        space = EmbeddingSpace(words=words, vectors=coords)
+        in_tri = np.array([True, False, True, False, True, False])
+        in_circ = np.array([False, False, True, True, False, True])
+        return space, coords, in_tri, in_circ
+
+    def test_csv(self, odd):
+        space, coords, in_tri, in_circ = odd
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["token", "x", "y", "inside_triangle", "inside_incircle"])
+        for i, word in enumerate(space.words):
+            writer.writerow(
+                [
+                    word,
+                    repr(float(coords[i, 0])),
+                    repr(float(coords[i, 1])),
+                    "true" if in_tri[i] else "false",
+                    "true" if in_circ[i] else "false",
+                ]
+            )
+        payload = report_module._projection_csv(space, coords, in_tri, in_circ)
+        assert payload == buf.getvalue().encode("utf-8")
+        assert b'"a,b",-0.0,5e-324,true,false\n' in payload
+        assert b'"q""q",1e+300,-0.0,false,false\n' in payload
+
+    def test_svg(self, odd):
+        space, coords, in_tri, _ = odd
+        tri2d = coords[:3]
+        payload = report_module._projection_svg(
+            space, (0, 1, 2), coords, tri2d, in_tri, np.array([0.5, 0.5]), 0.25
+        ).decode("utf-8")
+        size, pad = 800.0, 40.0
+        xmin, ymin = coords.min(axis=0)
+        xmax, ymax = coords.max(axis=0)
+        scale = (size - 2 * pad) / max(xmax - xmin, ymax - ymin, 1e-12)
+        expected = [
+            '<circle cx="%.3f" cy="%.3f" r="1.2" fill="%s" fill-opacity="0.45"/>'
+            % (
+                pad + (coords[i, 0] - xmin) * scale,
+                size - pad - (coords[i, 1] - ymin) * scale,
+                "#4878a8" if in_tri[i] else "#c44e52",
+            )
+            for i in range(len(space))
+        ]
+        dots = [line for line in payload.splitlines() if 'r="1.2"' in line]
+        assert dots == expected
+        assert ">&lt;&amp;&gt;</text>" in payload and ">q&quot;q</text>" in payload
+
+
 @pytest.fixture()
 def cloud_file(tmp_path, small_cloud):
     path = tmp_path / "cloud.txt"
@@ -283,9 +343,11 @@ class TestCli:
         for kind in ("neighbor_queries", "triangles", "redraws"):
             assert data["total"][kind] == sum(s[kind] for s in stages.values())
 
-    def test_timing_counts_are_deterministic(self, cloud_file, tmp_path):
+    def test_timing_counts_are_deterministic(self, cloud_file, tmp_path, monkeypatch):
         counts = []
         for run in range(2):
+            # the same cache state for both runs: a cold cache
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / ("cache%d" % run)))
             path = tmp_path / ("timings%d.json" % run)
             args = ["analyze", str(cloud_file), "--k", "3", "-o", str(tmp_path / "r")]
             assert main(args + ["--timings", str(path)]) == 0
@@ -301,6 +363,7 @@ class TestCli:
         self, small_cloud, tmp_path, monkeypatch, fmt
     ):
         monkeypatch.setattr(embeddings, "BLOCK_ROWS", 256)  # 6 blocks of 1500 rows
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))  # a cold cache
         lines = format_glove_text(small_cloud.space).splitlines(keepends=True)
         # the same value spelled with an underscore, which only float() reads
         token, coords = lines[299].split(" ", 1)
@@ -315,8 +378,9 @@ class TestCli:
             args = ["analyze", str(path), "--triple-samples", "5", "--format", fmt]
             plain, timed = tmp_path / "plain", tmp_path / "timed"
             timings = tmp_path / "timings.json"
-            assert main(args + ["-o", str(plain)]) == 0
+            # the timed run parses; the plain run is served from the cache
             assert main(args + ["-o", str(timed), "--timings", str(timings)]) == 0
+            assert main(args + ["-o", str(plain)]) == 0
             assert timed.read_bytes() == plain.read_bytes()
             reports.append(json.loads(plain.read_text()) if fmt == "json" else plain.read_text())
             parse = json.loads(timings.read_text())["stages"]["parse"]
