@@ -29,7 +29,7 @@ import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import BinaryIO, Iterator, TextIO, Union
 
@@ -651,11 +651,12 @@ def load_embeddings(
 # the bytes that parse read and whether it read to the end of the file. An
 # entry is served only while those bytes are unchanged: its first
 # ``length`` bytes hash the same and, for a parse that read to the end, the
-# size is the same. At most _CACHE_ENTRIES entries are kept.
+# size is the same. The key also holds the parser's identity (see
+# _parser_identity), so an entry of another version of the parser is never
+# served. At most _CACHE_ENTRIES entries of at most _CACHE_BYTES together
+# are kept; a parse whose entry alone would be larger writes none.
 _CACHE_ENTRIES = 8
-# Written into each entry: change it when the same bytes would parse to
-# another space, so no entry of an older parse is served.
-_CACHE_FORMAT = 1
+_CACHE_BYTES = 2 << 30
 # The source is read, and hashed, in chunks of this size.
 _READ_CHUNK = 1 << 20
 # What a cache entry that cannot be read raises; each is a miss.
@@ -669,6 +670,19 @@ def _cache_dir() -> Path:
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     return Path(base) / "embshape"
+
+
+@cache
+def _parser_identity() -> str | None:
+    """The SHA-256 of this module's source and of numpy's version, which
+    together decide what a run of bytes parses to; None when the source
+    cannot be read, and then nothing is cached."""
+    try:
+        with open(__file__, "rb") as fh:
+            source = fh.read()
+    except OSError:
+        return None
+    return hashlib.sha256(source + b"\0numpy " + np.__version__.encode()).hexdigest()
 
 
 class _HashingReader(io.RawIOBase):
@@ -735,10 +749,11 @@ def _load_file(path: Union[str, Path], fmt: str | None, max_words: int) -> Embed
         info = os.stat(path)
     except OSError:
         info = None
-    if info is None or not stat.S_ISREG(info.st_mode):
+    parser = _parser_identity()
+    if info is None or not stat.S_ISREG(info.st_mode) or parser is None:
         return parse_embeddings(path, fmt=fmt, max_words=max_words)
     key = {
-        "version": _CACHE_FORMAT,
+        "parser": parser,
         "source": os.path.realpath(path),
         "fmt": fmt,
         "max_words": max_words,
@@ -803,9 +818,14 @@ def _touch(entry: Path) -> None:
 
 def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
     """Write ``entry`` to a temp file beside it and move it into place,
-    then prune the cache. A cache that cannot be written is left as it is."""
+    then prune the cache. An entry larger than the whole cache is not
+    written, and an older one of its key is deleted. A cache that cannot be
+    written is left as it is."""
     words = "\n".join(space.words).encode("utf-8", "surrogatepass")
     try:
+        if len(words) + space.vectors.nbytes > _CACHE_BYTES:
+            entry.unlink(missing_ok=True)
+            return
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=entry.parent)
         try:
@@ -828,7 +848,9 @@ def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
 
 def _prune(entry: Path) -> None:
     """Delete the entries whose source file is gone, or that cannot be
-    read, and beyond ``entry`` keep the ``_CACHE_ENTRIES - 1`` used last."""
+    read; then, from the one used last, keep others while there are fewer
+    than _CACHE_ENTRIES and they fit in _CACHE_BYTES with ``entry``, and
+    delete the rest."""
     kept = []
     for other in entry.parent.glob("*.npz"):
         if other == entry:
@@ -837,14 +859,18 @@ def _prune(entry: Path) -> None:
             with open(other, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
                 source = json.loads(npz["meta"].tobytes())["source"]
             if os.path.exists(source):
-                kept.append((other.stat().st_mtime_ns, other))
+                info = other.stat()
+                kept.append((info.st_mtime_ns, info.st_size, other))
                 continue
         except _ENTRY_ERRORS:
             pass
         other.unlink(missing_ok=True)
     kept.sort(reverse=True)
-    for _, other in kept[_CACHE_ENTRIES - 1 :]:
-        other.unlink(missing_ok=True)
+    count, total = 1, entry.stat().st_size
+    for _, size, other in kept:
+        count, total = count + 1, total + size
+        if count > _CACHE_ENTRIES or total > _CACHE_BYTES:
+            other.unlink(missing_ok=True)
 
 
 def write_glove_text(space: EmbeddingSpace, out: Union[str, Path, TextIO]) -> None:

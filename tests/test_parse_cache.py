@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,62 @@ def test_entries_of_gone_sources_go_and_at_most_eight_are_kept(tmp_path, cache):
     assert load(paths[1])[1] == 0
     assert load(paths[3])[1] == 0
     assert load(paths[2])[1] == 1
+
+
+def test_the_entries_kept_fit_in_the_byte_cap(tmp_path, cache, monkeypatch):
+    paths = [tmp_path / ("e%d.txt" % i) for i in range(4)]
+    for i, path in enumerate(paths):
+        path.write_text(glove(10, seed=i))
+    load(paths[0])
+    (entry,) = entries(cache)
+    monkeypatch.setattr(embeddings, "_CACHE_BYTES", int(entry.stat().st_size * 2.5))
+    for path in paths[1:]:
+        load(path)
+    assert len(entries(cache)) == 2  # the two used last
+    assert [load(path)[1] for path in paths[2:]] == [1, 1]
+    assert load(paths[1])[1] == 0
+
+
+def test_an_entry_larger_than_the_cache_is_not_written(tmp_path, cache, monkeypatch):
+    path = tmp_path / "e.txt"
+    path.write_text(glove(10))
+    load(path)
+    path.write_text(glove(40))
+    monkeypatch.setattr(embeddings, "_CACHE_BYTES", 40 * 4 * 8)
+    first, first_hit = load(path)
+    second, second_hit = load(path)
+    assert (first_hit, second_hit) == (0, 0)
+    assert same_space(first, second) and len(first) == 40
+    assert entries(cache) == []  # the stale entry of the key went too
+
+
+def test_an_entry_of_another_parser_is_a_miss(tmp_path, cache, monkeypatch):
+    path = tmp_path / "e.txt"
+    path.write_text(glove(20))
+    load(path)
+    monkeypatch.setattr(embeddings, "_parser_identity", lambda: "another parser")
+    assert [load(path)[1] for _ in range(2)] == [0, 1]
+    assert len(entries(cache)) == 2
+
+
+def test_the_parser_identity_follows_the_module_source(tmp_path, monkeypatch):
+    identity = embeddings._parser_identity.__wrapped__
+    copy = tmp_path / "embeddings.py"
+    copy.write_bytes(Path(embeddings.__file__).read_bytes())
+    monkeypatch.setattr(embeddings, "__file__", str(copy))
+    assert identity() == embeddings._parser_identity()
+    copy.write_bytes(copy.read_bytes() + b"\n")
+    assert identity() != embeddings._parser_identity()
+    copy.unlink()
+    assert identity() is None
+
+
+def test_nothing_is_cached_when_the_parser_source_cannot_be_read(tmp_path, cache, monkeypatch):
+    monkeypatch.setattr(embeddings, "_parser_identity", lambda: None)
+    path = tmp_path / "e.txt"
+    path.write_text(glove(20))
+    assert [load(path)[1] for _ in range(2)] == [0, 0]
+    assert entries(cache) == []
 
 
 def duplicated_text():

@@ -363,7 +363,6 @@ class TestCli:
         self, small_cloud, tmp_path, monkeypatch, fmt
     ):
         monkeypatch.setattr(embeddings, "BLOCK_ROWS", 256)  # 6 blocks of 1500 rows
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))  # a cold cache
         lines = format_glove_text(small_cloud.space).splitlines(keepends=True)
         # the same value spelled with an underscore, which only float() reads
         token, coords = lines[299].split(" ", 1)
@@ -378,9 +377,11 @@ class TestCli:
             args = ["analyze", str(path), "--triple-samples", "5", "--format", fmt]
             plain, timed = tmp_path / "plain", tmp_path / "timed"
             timings = tmp_path / "timings.json"
-            # the timed run parses; the plain run is served from the cache
-            assert main(args + ["-o", str(timed), "--timings", str(timings)]) == 0
+            # each run gets its own cold cache, so both of them parse
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache_plain" / path.name))
             assert main(args + ["-o", str(plain)]) == 0
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache_timed" / path.name))
+            assert main(args + ["-o", str(timed), "--timings", str(timings)]) == 0
             assert timed.read_bytes() == plain.read_bytes()
             reports.append(json.loads(plain.read_text()) if fmt == "json" else plain.read_text())
             parse = json.loads(timings.read_text())["stages"]["parse"]
