@@ -16,13 +16,11 @@ import hashlib
 import io
 import json
 import logging
-import multiprocessing
 import os
 import select
 import stat
 import sys
 import tempfile
-import threading
 import time
 import warnings
 import zipfile
@@ -297,37 +295,27 @@ _JOB_BYTES = 9
 _WRITE_BUFFER = 1 << 18
 
 
-def _helper_main(jobs: int, replies: int, parent_ends: tuple, slots: tuple, dim: int) -> None:
-    """The worker process. It takes (slot, size) jobs from the ``jobs`` pipe
-    in order. For each it converts the ``size`` bytes of newline-joined
-    coordinate rows in the slot's input memory file with
-    ``_loadtxt_block``, writes the float64 bytes to the slot's output
-    memory file and answers (slot, 1) on ``replies``, or (slot, 0) when the
-    block was rejected. It leaves when the parent closes the job pipe."""
-    try:
-        for fd in parent_ends:  # the fork's copies; open, they hide the parent's close
-            os.close(fd)
-        while len(job := os.read(jobs, _JOB_BYTES)) == _JOB_BYTES:
-            slot, size = job[0], int.from_bytes(job[1:], "little")
-            rows, out = slots[slot]
-            data = os.pread(rows, size, 0)
-            block = _loadtxt_block(data.split(b"\n"), dim) if len(data) == size else None
-            done = block is not None and os.pwrite(out, block, 0) == block.nbytes
-            os.write(replies, bytes((slot, done)))
-            del data, block  # hold neither while waiting for the next job
-    finally:
-        # Leave at once, at the end of the jobs, a broken pipe or an
-        # interrupt: nothing copied by the fork (atexit handlers, buffered
-        # output) may run a second time.
-        os._exit(0)
+def _helper_main(jobs: int, replies: int, slots: tuple, dim: int) -> None:
+    """The worker's loop, in the forked child. It takes (slot, size) jobs
+    from the ``jobs`` pipe in order. For each it converts the ``size``
+    bytes of newline-joined coordinate rows at the start of the slot's
+    memory file with ``_loadtxt_block``, writes the float64 block over them
+    and answers (slot, 1) on ``replies``, or (slot, 0) when the block was
+    rejected. It returns when the parent closes the job pipe."""
+    while len(job := os.read(jobs, _JOB_BYTES)) == _JOB_BYTES:
+        slot, size = job[0], int.from_bytes(job[1:], "little")
+        data = os.pread(slots[slot], size, 0)
+        block = _loadtxt_block(data.split(b"\n"), dim) if len(data) == size else None
+        done = block is not None and os.pwrite(slots[slot], block, 0) == block.nbytes
+        os.write(replies, bytes((slot, done)))
+        del data, block  # hold neither while waiting for the next job
 
 
 def _helper_count() -> int:
-    """Worker processes a parse runs: one where ``fork`` and memory files
-    exist and the process may run on two or more CPUs, else none."""
+    """Worker processes a parse runs: one where memory files, and so
+    ``os.fork``, exist and the process may use two or more CPUs, else none."""
     if hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity"):
-        if "fork" in multiprocessing.get_all_start_methods():
-            return min(2, len(os.sched_getaffinity(0))) - 1
+        return min(2, len(os.sched_getaffinity(0))) - 1
     return 0
 
 
@@ -337,15 +325,16 @@ class _BlockMatrix:
 
     A block is converted by ``_loadtxt_block``, or row by row with
     ``_row_vector`` when that rejects it, which raises the first bad row's
-    error. Where a worker may run, one is forked when the second full block
-    is cut, and it serves ``_SLOTS`` slots of memory files: the parent
-    writes a block's rows to a free slot's input file, sends the job on a
-    pipe and reserves the block's rows in the matrix; the worker converts
-    the jobs in order, and the parent reads each matrix back from the
-    slot's output file into its rows. At each cut the parent collects the
-    blocks the worker has finished without waiting, then hands the new
-    block to the worker if a slot is free and otherwise converts it itself,
-    so each side takes as many blocks as it can.
+    error. Where a worker may run, one is forked with ``os.fork`` when the
+    second full block is cut, and it serves ``_SLOTS`` slots, one memory
+    file each: the parent writes a block's rows to the start of a free
+    slot's file, sends the job on a pipe and reserves the block's rows in
+    the matrix; the worker converts the jobs in order and writes each
+    matrix over its rows, and the parent reads it back into its rows. At
+    each cut the parent collects the blocks the worker has finished
+    without waiting, then hands the new block to the worker if a slot is
+    free and otherwise converts it itself, so each side takes as many
+    blocks as it can.
 
     A block the worker rejects, or holds when it dies, is converted by the
     parent, so the fallback and every error stay in the parent. A block the
@@ -361,11 +350,10 @@ class _BlockMatrix:
         self.vectors = np.empty((0, dim))
         self._dim = dim
         self._may_fork = _helper_count() > 0
-        self._worker = None  # the worker process, from its fork until it ends
+        self._worker = None  # the worker's pid, from its fork until it is reaped
         self._jobs = self._replies = None  # the parent's ends of the two pipes
-        self._poll = None  # tells whether a reply has come
-        self._inputs: list[BinaryIO] = []  # per slot, the file its rows are written to
-        self._outputs: list[int] = []  # per slot, the memory file its matrix comes back in
+        self._poll = None  # tells whether a reply has come; select() takes no fd past 1023
+        self._slots: list[BinaryIO] = []  # per slot, the memory file of its rows and matrix
         self._free: list[int] = []  # the slots the parent may write to
         self._held: collections.deque = collections.deque()  # (slot, first row, block) per job
         self._coords: list[bytes] = []  # the block being filled
@@ -395,11 +383,9 @@ class _BlockMatrix:
         """End the worker, if one runs, and close the memory files."""
         if self._worker is not None:
             self._stop()
-        for fh in self._inputs:
+        for fh in self._slots:
             fh.close()
-        for fd in self._outputs:
-            os.close(fd)
-        self._inputs, self._outputs = [], []
+        self._slots = []
 
     def _cut(self) -> tuple:
         """The rows taken since the last cut, as one block."""
@@ -419,7 +405,7 @@ class _BlockMatrix:
         reserve the block's rows in the matrix; False when the worker has
         died."""
         slot = self._free.pop()
-        fh = self._inputs[slot]
+        fh = self._slots[slot]
         coords = block[0]
         fh.seek(0)
         fh.write(coords[0])
@@ -447,7 +433,7 @@ class _BlockMatrix:
             slot, start, block = self._held.popleft()
             rows = self.vectors[start : start + len(block[0])]
             done = reply == bytes((slot, 1))
-            if done and os.preadv(self._outputs[slot], [rows], 0) == rows.nbytes:
+            if done and os.preadv(self._slots[slot].fileno(), [rows], 0) == rows.nbytes:
                 stages.count("blocks")
             else:  # rejected, or the worker died
                 self._fill(rows, _loadtxt_block(block[0], self._dim), block)
@@ -471,15 +457,7 @@ class _BlockMatrix:
         every block is converted here."""
         jobs, self._jobs = os.pipe()
         self._replies, replies = os.pipe()
-        inputs = [os.memfd_create("embshape-rows") for _ in range(_SLOTS)]
-        self._outputs = [os.memfd_create("embshape-block") for _ in range(_SLOTS)]
-        slots = tuple(zip(inputs, self._outputs))
-        parent_ends = (self._jobs, self._replies)
-        proc = multiprocessing.get_context("fork").Process(
-            target=_helper_main,
-            args=(jobs, replies, parent_ends, slots, self._dim),
-            daemon=True,
-        )
+        slots = tuple(os.memfd_create("embshape-block") for _ in range(_SLOTS))
         try:
             with warnings.catch_warnings():
                 # From Python 3.12 fork() warns in a process with other
@@ -489,17 +467,25 @@ class _BlockMatrix:
                 warnings.filterwarnings(
                     "ignore", r"This process .* is multi-threaded", DeprecationWarning
                 )
-                proc.start()
+                pid = os.fork()
         except OSError:  # no process to spare
-            for fd in (self._jobs, self._replies, *inputs, *self._outputs):
+            for fd in (jobs, replies, self._jobs, self._replies, *slots):
                 os.close(fd)
-            self._outputs = []
             return
-        finally:
-            os.close(jobs)
-            os.close(replies)
-        self._worker = proc
-        self._inputs = [open(fd, "wb", buffering=_WRITE_BUFFER) for fd in inputs]
+        if pid == 0:
+            try:
+                os.close(self._jobs)  # the fork's copies; open, they hide the parent's close
+                os.close(self._replies)
+                _helper_main(jobs, replies, slots, self._dim)
+            finally:
+                # Leave at once, at the end of the jobs, a broken pipe or an
+                # interrupt: nothing copied by the fork (atexit handlers,
+                # buffered output) may run a second time.
+                os._exit(0)
+        os.close(jobs)
+        os.close(replies)
+        self._worker = pid
+        self._slots = [open(fd, "wb", buffering=_WRITE_BUFFER) for fd in slots]
         self._free = list(range(_SLOTS))
         self._poll = select.poll()
         self._poll.register(self._replies, select.POLLIN)
@@ -509,8 +495,7 @@ class _BlockMatrix:
         once it has converted the blocks it holds."""
         os.close(self._jobs)
         os.close(self._replies)
-        self._worker.join()
-        self._worker.close()
+        os.waitpid(self._worker, 0)
         self._worker = None
         self._free = []
 
@@ -562,11 +547,20 @@ def parse_embeddings(
     and partly in a worker process, and the first error in file order is
     raised, whatever kind it is.
     """
+    return _parse(source, fmt, max_words)[0]
+
+
+def _parse(
+    source: Union[str, Path, bytes, TextIO, BinaryIO], fmt: str | None, max_words: int
+) -> tuple[EmbeddingSpace, list[list]]:
+    """``parse_embeddings``, and the [line, token] of each duplicate token
+    it logged, whether or not warnings are on."""
     if max_words < 1:
         raise ValueError("max_words must be positive")
 
     words: list[str] = []
     seen: set[str] = set()
+    duplicates: list[list] = []
     dim: int | None = None
     rows = None  # a _BlockMatrix from the line that gives D on
     try:
@@ -606,6 +600,7 @@ def parse_embeddings(
             token = _text(line[:cut])
             if token in seen:
                 log.warning(_DUPLICATE, lineno, token)
+                duplicates.append([lineno, token])
                 continue
             seen.add(token)
             words.append(token)
@@ -622,7 +617,7 @@ def parse_embeddings(
     finally:
         if rows is not None:
             rows.close()
-    return EmbeddingSpace(words=words, vectors=rows.vectors)
+    return EmbeddingSpace(words=words, vectors=rows.vectors), duplicates
 
 
 def load_embeddings(
@@ -720,28 +715,6 @@ def _digest(path: str, length: int) -> str | None:
     return reader.sha.hexdigest()
 
 
-class _DuplicateLog(logging.Handler):
-    """While entered, collects the (line, token) of each duplicate-token
-    warning that this thread's parse logs. ``found`` is None when warnings
-    are off, as a parse then logs none."""
-
-    def __init__(self):
-        super().__init__()
-        self.found = [] if log.isEnabledFor(logging.WARNING) else None
-        self._thread = threading.get_ident()
-
-    def emit(self, record: logging.LogRecord) -> None:
-        if self.found is not None and record.msg == _DUPLICATE and record.thread == self._thread:
-            self.found.append(list(record.args))
-
-    def __enter__(self) -> "_DuplicateLog":
-        log.addHandler(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        log.removeHandler(self)
-
-
 def _load_file(path: Union[str, Path], fmt: str | None, max_words: int) -> EmbeddingSpace:
     """Serve ``path`` from its cache entry, or parse it and write the entry.
     A path that is not a regular file is parsed as it always was."""
@@ -766,14 +739,14 @@ def _load_file(path: Union[str, Path], fmt: str | None, max_words: int) -> Embed
         return space
     with open(path, "rb", buffering=0) as raw:
         reader = _HashingReader(raw)
-        with io.BufferedReader(reader, _READ_CHUNK) as fh, _DuplicateLog() as duplicates:
-            space = parse_embeddings(fh, fmt=fmt, max_words=max_words)
+        with io.BufferedReader(reader, _READ_CHUNK) as fh:
+            space, duplicates = _parse(fh, fmt, max_words)
     meta = dict(
         key,
         length=reader.length,
         sha256=reader.sha.hexdigest(),
         eof=reader.eof,
-        duplicates=duplicates.found,
+        duplicates=duplicates,
     )
     _write_entry(entry, meta, space)
     return space
@@ -790,8 +763,6 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
             meta = json.loads(npz["meta"].tobytes())
             if {k: meta[k] for k in key} != key or meta["eof"] and meta["length"] != size:
                 return None
-            if meta["duplicates"] is None and log.isEnabledFor(logging.WARNING):
-                return None
             with ThreadPoolExecutor(1) as pool:
                 digest = pool.submit(_digest, key["source"], meta["length"])
                 words = npz["words"].tobytes().decode("utf-8", "surrogatepass").split("\n")
@@ -804,7 +775,7 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
         _touch(entry)
     except OSError:
         pass
-    for lineno, token in meta["duplicates"] or ():
+    for lineno, token in meta["duplicates"]:
         log.warning(_DUPLICATE, lineno, token)
     return space
 

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -20,11 +19,17 @@ from embshape import EmbeddingSpace, generate_simplex_cloud
 
 @pytest.fixture(autouse=True)
 def no_stray_processes():
-    """Fail a test that leaves a child process running, such as a parse
-    helper that was not joined."""
+    """Fail a test that leaves a child process running or unreaped, such as
+    a parse worker that was not waited for."""
     yield
-    left = multiprocessing.active_children()
-    assert not left, "child processes left running: %r" % left
+    left = []
+    try:
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            left.append(pid)  # it had exited; reaped now, so no later test fails for it
+        left.append("one still running")
+    except ChildProcessError:  # no child left
+        pass
+    assert not left, "child processes left unreaped or running: %r" % left
 
 
 @pytest.fixture(scope="session")

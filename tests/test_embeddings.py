@@ -2,9 +2,9 @@ import gzip
 import io
 import json
 import logging
-import multiprocessing
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -740,14 +740,16 @@ class TestHelperProcess:
         assert space.vectors.tobytes() == expected.vectors.tobytes()
         assert len(os.listdir("/proc/self/fd")) == fds
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
     def test_the_worker_closes_its_copies_of_the_parents_pipe_ends(self, helper):
         # Open in the worker, the job pipe's write end would keep the end of
         # the jobs from reaching it, and the parse would wait for it forever.
         def expire(signum, frame):
-            for proc in multiprocessing.active_children():
-                proc.kill()
-                proc.join()
-            pytest.fail("the worker outlived the parse")  # not an OSError, which join ignores
+            for children in Path("/proc/self/task").glob("*/children"):
+                for pid in map(int, children.read_text().split()):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            pytest.fail("the worker outlived the parse")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(20)
@@ -760,7 +762,7 @@ class TestHelperProcess:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
     def test_nothing_outlives_a_parse(self, helper):
-        # each child brings a sentinel pipe and a memory file
+        # a worker left behind would keep two pipes and two memory files open here
         fds = len(os.listdir("/proc/self/fd"))
         for _ in range(5):
             parse_embeddings(_cloud_text(9 * 4))
@@ -770,11 +772,26 @@ class TestHelperProcess:
         assert helper.exists()
         assert len(os.listdir("/proc/self/fd")) == fds
 
+    def test_pipes_numbered_past_the_select_limit(self, helper):
+        # select.select() rejects a file descriptor of 1024 or more, which a
+        # process may hold when its file limit allows it
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("the file limit keeps every descriptor below 1024")
+        fillers = [os.open(os.devnull, os.O_RDONLY) for _ in range(1030)]
+        try:
+            data = _cloud_text(30)
+            space = parse_embeddings(data)
+        finally:
+            for fd in fillers:
+                os.close(fd)
+        assert helper.exists()
+        assert space.vectors.tobytes() == _inline(data).vectors.tobytes()
+
     @pytest.mark.parametrize("blocks", [3, 7])
     def test_stdin_file_through_the_cli(self, tmp_path, blocks):
-        # Each child forked while stdin is a regular file closes its copy of
-        # stdin, whose offset it shares with the parent; the parent must
-        # still read every line.
+        # A worker forked while stdin is a regular file shares its offset
+        # with the parent, so it must leave stdin alone (neither read nor
+        # close it); the parent must still read every line.
         path = tmp_path / "cloud.txt"
         path.write_bytes(_cloud_text(blocks * BLOCK_ROWS))
         args = [sys.executable, "-m", "embshape", "stats", "--words", "w0,w1,w2"]

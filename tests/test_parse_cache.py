@@ -307,7 +307,7 @@ def test_a_hit_logs_the_duplicate_warnings_of_the_parse(tmp_path, cache, caplog)
     ]
 
 
-def test_an_entry_parsed_with_warnings_off_is_not_served_with_them_on(tmp_path, cache, caplog):
+def test_an_entry_parsed_with_warnings_off_replays_them_on_a_hit(tmp_path, cache, caplog):
     path = tmp_path / "e.txt"
     path.write_text(duplicated_text())
     log = logging.getLogger("embshape.embeddings")
@@ -315,13 +315,14 @@ def test_an_entry_parsed_with_warnings_off_is_not_served_with_them_on(tmp_path, 
     log.setLevel(logging.ERROR)
     try:
         assert load(path)[1] == 0
-        assert load(path)[1] == 1
     finally:
         log.setLevel(level)
     with caplog.at_level(logging.WARNING):
-        assert load(path)[1] == 0
-    assert "duplicate token 'w3'" in caplog.text
-    assert load(path)[1] == 1
+        assert load(path)[1] == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "line 11: duplicate token 'w3', keeping first occurrence"),
+        ("WARNING", "line 22: duplicate token 'w15', keeping first occurrence"),
+    ]
 
 
 @pytest.fixture(scope="module")
