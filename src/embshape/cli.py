@@ -247,7 +247,3 @@ def main(argv: list[str] | None = None) -> int:
     except (EmbshapeError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,6 +11,7 @@ truncating to the first ``max_words`` rows gives the most frequent words.
 from __future__ import annotations
 
 import collections
+import contextlib
 import gzip
 import hashlib
 import io
@@ -127,22 +128,17 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
-def _byte_lines(source: Union[str, Path, bytes, TextIO, BinaryIO]) -> Iterator[bytes]:
-    """The lines of ``source`` as UTF-8 bytes.
+def _byte_lines(source: Union[str, Path, bytes, BinaryIO]) -> Iterator[bytes]:
+    """The lines of ``source``, a path, ``bytes`` or a binary stream, as
+    strict UTF-8 bytes.
 
-    Files, binary streams and ``bytes`` end lines at LF, CRLF or a lone
-    CR; text streams end them as they iterate and are encoded line by
-    line. A line of a binary source that is not ASCII is decoded to check
-    it, so invalid UTF-8 is reported with the number of the line that
-    holds it. A binary source that starts with the gzip magic bytes is
-    read decompressed; one that is a zip archive, or binary word2vec (a
-    'N D' header and then a row that is not text), fails with an error
-    that names the format.
+    Lines end at LF, CRLF or a lone CR. A line that is not ASCII is decoded
+    to check it, so invalid UTF-8 is reported with the number of the line
+    that holds it. A source that starts with the gzip magic bytes is read
+    decompressed; one that is a zip archive, or binary word2vec (a 'N D'
+    header and then a row that is not text), fails with an error that
+    names the format.
     """
-    if isinstance(source, io.TextIOBase):
-        for line in source:
-            yield line.encode("utf-8", "surrogatepass")
-        return
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             yield from _byte_lines(fh)
@@ -219,14 +215,6 @@ def _is_binary_w2v_row(header: bytes, row: bytes) -> bool:
         and all(part.isdigit() for part in parts)
         and row.count(b" ") < int(parts[1])
     )
-
-
-def _text(data: bytes) -> str:
-    """Decode (part of) a line from ``_byte_lines``. Lines of binary
-    sources were checked as strict UTF-8, which encodes no surrogate, so
-    ``surrogatepass`` only brings back the lone surrogates a text stream
-    may hold."""
-    return data.decode("utf-8", "surrogatepass")
 
 
 # Kept rows are converted this many at a time, one np.loadtxt call per block.
@@ -495,7 +483,8 @@ class _BlockMatrix:
         once it has converted the blocks it holds."""
         os.close(self._jobs)
         os.close(self._replies)
-        os.waitpid(self._worker, 0)
+        with contextlib.suppress(ChildProcessError):  # reaped already: SIGCHLD is ignored
+            os.waitpid(self._worker, 0)
         self._worker = None
         self._free = []
 
@@ -508,7 +497,7 @@ class _BlockMatrix:
             coords, names = block
             try:
                 matrix = np.vstack(
-                    [_row_vector(n, t, _text(c)) for (n, t), c in zip(names, coords)]
+                    [_row_vector(n, t, c.decode()) for (n, t), c in zip(names, coords)]
                 )
             except EmbeddingFormatError:
                 self._held.clear()
@@ -529,11 +518,11 @@ class _BlockMatrix:
 
 
 def parse_embeddings(
-    source: Union[str, Path, bytes, TextIO, BinaryIO],
-    fmt: str | None = None,
-    max_words: int = DEFAULT_MAX_WORDS,
+    source: Union[str, Path, bytes, BinaryIO], max_words: int = DEFAULT_MAX_WORDS
 ) -> EmbeddingSpace:
-    """Parse a GloVe/word2vec text stream into an EmbeddingSpace.
+    """Parse GloVe/word2vec text from a path, ``bytes`` or a binary stream
+    into an EmbeddingSpace. The first non-blank line decides the format
+    (see ``detect_format``).
 
     Keeps the first ``max_words`` unique tokens in file order. A repeated
     token keeps its first vector and does not consume a slot. The dimension
@@ -547,11 +536,11 @@ def parse_embeddings(
     and partly in a worker process, and the first error in file order is
     raised, whatever kind it is.
     """
-    return _parse(source, fmt, max_words)[0]
+    return _parse(source, max_words)[0]
 
 
 def _parse(
-    source: Union[str, Path, bytes, TextIO, BinaryIO], fmt: str | None, max_words: int
+    source: Union[str, Path, bytes, BinaryIO], max_words: int
 ) -> tuple[EmbeddingSpace, list[list]]:
     """``parse_embeddings``, and the [line, token] of each duplicate token
     it logged, whether or not warnings are on."""
@@ -569,23 +558,17 @@ def _parse(
                 raw = raw.removeprefix(_BOM)
             line = raw.rstrip(_ASCII_SPACE)
             if line and line[-1] >= 0x80:  # it may end in a non-ASCII space
-                line = _text(line).rstrip().encode("utf-8", "surrogatepass")
+                line = line.decode().rstrip().encode()
             if not line:
                 continue
             if dim is None:
-                text = _text(line)
-                line_fmt = detect_format(text)
-                if fmt is None:
-                    fmt = line_fmt
-                if fmt == W2V_TEXT and line_fmt != W2V_TEXT:
-                    raise EmbeddingFormatError(
-                        "line 1: expected a 'N D' header, got %r" % text[:80]
-                    )
-                dim = int(text.split()[1]) if fmt == W2V_TEXT else line.count(b" ")
+                text = line.decode()
+                header = detect_format(text) == W2V_TEXT
+                dim = int(text.split()[1]) if header else line.count(b" ")
                 if dim == 0:
                     raise EmbeddingFormatError("line %d: no coordinates found" % lineno)
                 rows = _BlockMatrix(dim)
-                if fmt == W2V_TEXT:
+                if header:
                     continue
             spaces = line.count(b" ")
             if spaces == dim:
@@ -597,7 +580,7 @@ def _parse(
                     "line %d: expected %d coordinates, found %d"
                     % (lineno, dim, spaces)
                 )
-            token = _text(line[:cut])
+            token = line[:cut].decode()
             if token in seen:
                 log.warning(_DUPLICATE, lineno, token)
                 duplicates.append([lineno, token])
@@ -622,12 +605,12 @@ def _parse(
 
 def load_embeddings(
     path: Union[str, Path],
-    fmt: str | None = None,
     max_words: int = DEFAULT_MAX_WORDS,
     normalize: bool = False,
 ) -> EmbeddingSpace:
-    """Parse the file at ``path``; '-' reads stdin. With ``normalize`` the
-    rows are scaled to unit length (see ``normalized``).
+    """Parse the file at ``path``; '-' reads stdin. The first non-blank
+    line decides the format. With ``normalize`` the rows are scaled to unit
+    length (see ``normalized``).
 
     A regular file goes through the parse cache: a repeat load of bytes
     parsed before reads the words and matrix of that parse from its cache
@@ -635,13 +618,13 @@ def load_embeddings(
     ``cache_hits`` in the timed stage. Stdin is never cached.
     """
     if str(path) == "-":
-        space = parse_embeddings(sys.stdin.buffer, fmt=fmt, max_words=max_words)
+        space = parse_embeddings(sys.stdin.buffer, max_words=max_words)
     else:
-        space = _load_file(path, fmt, max_words)
+        space = _load_file(path, max_words)
     return normalized(space) if normalize else space
 
 
-# The parse cache keeps, per real path, fmt and max_words, the words and
+# The parse cache keeps, per real path and max_words, the words and
 # raw matrix of the last parse of a file, with the length and SHA-256 of
 # the bytes that parse read and whether it read to the end of the file. An
 # entry is served only while those bytes are unchanged: its first
@@ -715,7 +698,7 @@ def _digest(path: str, length: int) -> str | None:
     return reader.sha.hexdigest()
 
 
-def _load_file(path: Union[str, Path], fmt: str | None, max_words: int) -> EmbeddingSpace:
+def _load_file(path: Union[str, Path], max_words: int) -> EmbeddingSpace:
     """Serve ``path`` from its cache entry, or parse it and write the entry.
     A path that is not a regular file is parsed as it always was."""
     try:
@@ -724,11 +707,10 @@ def _load_file(path: Union[str, Path], fmt: str | None, max_words: int) -> Embed
         info = None
     parser = _parser_identity()
     if info is None or not stat.S_ISREG(info.st_mode) or parser is None:
-        return parse_embeddings(path, fmt=fmt, max_words=max_words)
+        return parse_embeddings(path, max_words=max_words)
     key = {
         "parser": parser,
         "source": os.path.realpath(path),
-        "fmt": fmt,
         "max_words": max_words,
     }
     name = hashlib.sha256(json.dumps(key).encode()).hexdigest()[:32]
@@ -740,7 +722,7 @@ def _load_file(path: Union[str, Path], fmt: str | None, max_words: int) -> Embed
     with open(path, "rb", buffering=0) as raw:
         reader = _HashingReader(raw)
         with io.BufferedReader(reader, _READ_CHUNK) as fh:
-            space, duplicates = _parse(fh, fmt, max_words)
+            space, duplicates = _parse(fh, max_words)
     meta = dict(
         key,
         length=reader.length,
@@ -765,7 +747,7 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
                 return None
             with ThreadPoolExecutor(1) as pool:
                 digest = pool.submit(_digest, key["source"], meta["length"])
-                words = npz["words"].tobytes().decode("utf-8", "surrogatepass").split("\n")
+                words = npz["words"].tobytes().decode().split("\n")
                 space = EmbeddingSpace(words=words, vectors=npz["vectors"])
                 if digest.result() != meta["sha256"]:
                     return None
@@ -792,7 +774,7 @@ def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
     then prune the cache. An entry larger than the whole cache is not
     written, and an older one of its key is deleted. A cache that cannot be
     written is left as it is."""
-    words = "\n".join(space.words).encode("utf-8", "surrogatepass")
+    words = "\n".join(space.words).encode()
     try:
         if len(words) + space.vectors.nbytes > _CACHE_BYTES:
             entry.unlink(missing_ok=True)

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import io
 import json
@@ -196,10 +197,6 @@ class TestParse:
         assert space.words == ["a", "b", "c"]
         assert space.dim == 2
 
-    def test_w2v_hint_requires_header(self):
-        with pytest.raises(EmbeddingFormatError):
-            parse_embeddings(b"a 1 0\n", fmt="w2v_text", max_words=10)
-
     def test_duplicate_keeps_first_without_consuming_slot(self, caplog):
         data = b"a 1 0\na 2 0\nb 0 1\n"
         with caplog.at_level("WARNING"):
@@ -260,11 +257,15 @@ class TestParse:
         with pytest.raises(EmbeddingFormatError, match="no data rows"):
             parse_embeddings(b"", max_words=10)
 
+    def test_max_words_must_be_positive(self):
+        with pytest.raises(ValueError, match="^max_words must be positive$"):
+            parse_embeddings(b"a 1 0\n", max_words=0)
+
     def test_accepts_file_objects(self):
         space = parse_embeddings(io.BytesIO(b"a 1 0\n"), max_words=5)
         assert space.words == ["a"]
-        space = parse_embeddings(io.StringIO("a 1 0\n"), max_words=5)
-        assert space.words == ["a"]
+        with pytest.raises(TypeError):
+            parse_embeddings(io.StringIO("a 1 0\n"), max_words=5)
 
     def test_tokens_keep_file_order(self):
         data = "\n".join("w%d %d 0" % (i, i) for i in range(20, 0, -1)) + "\n"
@@ -296,7 +297,7 @@ class TestParse:
         data = "\ufeff".encode() + data
         path = tmp_path / "bom.txt"
         path.write_bytes(data)
-        for source in (data, io.BytesIO(data), path, io.StringIO(data.decode())):
+        for source in (data, io.BytesIO(data), path):
             space = parse_embeddings(source, max_words=10)
             assert space.words == ["the", "of"]
             assert np.array_equal(space.vectors, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -739,6 +740,34 @@ class TestHelperProcess:
         assert space.words == expected.words
         assert space.vectors.tobytes() == expected.vectors.tobytes()
         assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+    def test_no_process_to_spare_converts_every_block_here(self, helper, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        data = _cloud_text(30, odd_row=14)
+        space = parse_embeddings(data)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert not helper.exists()
+        expected = _inline(data)
+        assert space.words == expected.words
+        assert space.vectors.tobytes() == expected.vectors.tobytes()
+
+    def test_a_process_that_ignores_sigchld(self, helper):
+        # the kernel then reaps the worker itself, and waitpid finds no child
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            data = _cloud_text(30, odd_row=14)
+            space = parse_embeddings(data)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert helper.exists()
+        expected = _inline(data)
+        assert space.words == expected.words
+        assert space.vectors.tobytes() == expected.vectors.tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
     def test_the_worker_closes_its_copies_of_the_parents_pipe_ends(self, helper):

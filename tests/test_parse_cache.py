@@ -67,7 +67,7 @@ def test_an_entry_is_plain_arrays_with_the_facts_of_the_bytes_read(tmp_path, cac
         meta = json.loads(npz["meta"].tobytes())
         assert npz["vectors"].tobytes() == space.vectors.tobytes()
     assert meta["source"] == os.path.realpath(path)
-    assert (meta["fmt"], meta["max_words"]) == (None, 30)
+    assert meta["max_words"] == 30 and "fmt" not in meta
     assert meta["length"] == path.stat().st_size and meta["eof"]
 
 
@@ -111,13 +111,30 @@ def test_rows_appended_after_a_parse_that_stopped_at_max_words_are_a_hit(tmp_pat
     assert hit == 0 and len(third) == 50
 
 
-def test_each_fmt_and_max_words_has_its_own_entry(tmp_path, cache):
+def test_each_max_words_has_its_own_entry(tmp_path, cache):
     path = tmp_path / "e.txt"
     path.write_text(glove(30))
-    for kwargs in ({}, {"max_words": 10}, {"fmt": embeddings.GLOVE_TEXT}):
+    for kwargs in ({}, {"max_words": 10}):
         assert load(path, **kwargs)[1] == 0
-    assert len(entries(cache)) == 3
+    assert len(entries(cache)) == 2
     assert load(path, max_words=10)[1] == 1
+
+
+def test_a_source_cut_below_the_bytes_read_is_a_miss(tmp_path, cache):
+    path = tmp_path / "e.txt"
+    text = glove(60)
+    path.write_text(text)
+    load(path, max_words=30)
+    (entry,) = entries(cache)
+    with np.load(entry, allow_pickle=False) as npz:
+        meta = json.loads(npz["meta"].tobytes())
+    assert not meta["eof"]  # so the size alone does not tell the cut
+    short = text[: text.index("w20 ")]
+    path.write_text(short)
+    assert path.stat().st_size < meta["length"]
+    space, hit = load(path, max_words=30)
+    assert hit == 0 and len(space) == 20
+    assert same_space(space, embeddings.parse_embeddings(short.encode()))
 
 
 @pytest.mark.parametrize("damage", ["truncate", "garbage", "empty"])
@@ -178,6 +195,17 @@ def test_a_cache_home_that_is_a_file_changes_nothing(tmp_path, monkeypatch):
     path = tmp_path / "e.txt"
     path.write_text(glove(20))
     assert same_space(load(path)[0], embeddings.parse_embeddings(path))
+
+
+def test_a_relative_cache_home_is_not_used(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative-cache")
+    path = tmp_path / "e.txt"
+    path.write_text(glove(20))
+    load(path)
+    assert len(entries(tmp_path / "home" / ".cache" / "embshape")) == 1
+    assert not (tmp_path / "relative-cache").exists()
 
 
 def test_stdin_writes_no_entry(cache, monkeypatch):

@@ -300,6 +300,10 @@ class TestCli:
         out = capsysbinary.readouterr().out.decode()
         assert "surviving vertices" in out
 
+    def test_analyze_rejects_max_words_below_one(self, cloud_file, capsys):
+        assert main(["analyze", str(cloud_file), "--max-words", "0"]) == 1
+        assert capsys.readouterr().err == "error: max_words must be positive\n"
+
     def test_analyze_to_file(self, cloud_file, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["analyze", str(cloud_file), "--triple-samples", "5",
