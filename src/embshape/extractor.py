@@ -17,7 +17,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DegenerateSamplingError, DegenerateTriangleError
-from .geometry import PoolProduct, TripleStats
+from .geometry import PoolProduct, PoolTriangle
 from .pca import PcaModel, centered_product
 from . import stages
 
@@ -226,41 +226,43 @@ def check_sample_count(count: int) -> None:
         raise ValueError("triangle sample count must be >= 0, got %d" % count)
 
 
-def sample_triangles(
+def draw_triangles(
     product: PoolProduct,
     pool: Sequence[int],
     count: int,
     rng: np.random.Generator,
     apex: int | None = None,
-) -> list[tuple[np.ndarray, TripleStats]]:
-    """Containment stats for up to ``count`` random triangles over ``pool``.
+) -> list[tuple[np.ndarray, PoolTriangle]]:
+    """Up to ``count`` random triangles over ``pool``, for ``product.count``.
 
     Each draw takes 3 distinct pool positions with ``rng.choice``, or 2
     when a fixed ``apex`` word is given, which then is the first corner.
     ``product`` must hold every pool word and the apex. Degenerate
     triangles are redrawn, up to 10 x count draws in all, so fewer than
-    ``count`` results come back when the draws run out; a pool too small
-    for one draw gives none. Returns (drawn positions, stats) pairs in
-    draw order.
+    ``count`` come back when the draws run out; a pool too small for one
+    draw gives none. A draw is degenerate or not by its corner vectors
+    alone, so every draw, and the ``triangles`` and ``redraws`` counted
+    here, is settled before any word is projected. Returns (drawn
+    positions, triangle) pairs in draw order.
     """
     check_sample_count(count)
     size = 3 if apex is None else 2
     if len(pool) < size:
         return []
     apex_corner = () if apex is None else (apex,)
-    drawn: list[tuple[np.ndarray, TripleStats]] = []
+    drawn: list[tuple[np.ndarray, PoolTriangle]] = []
     attempts = 0
     while len(drawn) < count and attempts < 10 * count:
         attempts += 1
         picks = rng.choice(len(pool), size=size, replace=False)
         corners = apex_corner + tuple(pool[int(p)] for p in picks)
         try:
-            stats = product.triangle_stats(*corners)
+            triangle = product.triangle(*corners)
         except DegenerateTriangleError:
             stages.count("redraws")
             continue
         stages.count("triangles")
-        drawn.append((picks, stats))
+        drawn.append((picks, triangle))
     return drawn
 
 
@@ -268,6 +270,7 @@ def filter_false_vertices(
     space: EmbeddingSpace,
     vertices: list[Vertex],
     params: ExtractionParams,
+    product: PoolProduct | None = None,
 ) -> list[Vertex]:
     """Reject vertices that leave too much of the cloud outside their
     random triangles.
@@ -276,9 +279,10 @@ def filter_false_vertices(
     (from a stream seeded by the vertex rank, so results do not depend on
     evaluation order) and the mean outside-triangle fraction is stored on
     the vertex. Vertices with mean above tau are dropped. Degenerate
-    triples are redrawn up to 10 x trials times (see ``sample_triangles``).
-    All triangles are projected through one ``PoolProduct`` over the
-    representatives.
+    triples are redrawn up to 10 x trials times (see ``draw_triangles``).
+    Every vertex's triangles are drawn first and then counted at once
+    through ``product``, a ``PoolProduct`` that holds every representative;
+    one is built when none is given.
     """
     if len(vertices) < 3:
         log.warning(
@@ -288,11 +292,14 @@ def filter_false_vertices(
         return list(vertices)
 
     reps = [v.representative for v in vertices]
-    product = PoolProduct(space, reps)
+    if product is None:
+        product = PoolProduct(space, reps)
+    triangles: list[PoolTriangle] = []
+    drawn_per_vertex: list[int] = []
     for rank, vertex in enumerate(vertices):
         others = [r for i, r in enumerate(reps) if i != rank]
         rng = np.random.default_rng([params.seed, _FILTER_STREAM, rank])
-        drawn = sample_triangles(
+        drawn = draw_triangles(
             product, others, params.trials, rng, apex=vertex.representative
         )
         if not drawn:
@@ -300,8 +307,15 @@ def filter_false_vertices(
                 "all sampled triples degenerate for vertex %r"
                 % space.words[vertex.representative]
             )
-        fractions = [1.0 - stats.inside_triangle_fraction for _, stats in drawn]
+        triangles.extend(triangle for _, triangle in drawn)
+        drawn_per_vertex.append(len(drawn))
+
+    inside = product.count(triangles)[:, 0].tolist()
+    start = 0
+    for vertex, n in zip(vertices, drawn_per_vertex):
+        fractions = [1.0 - f for f in inside[start : start + n]]
         vertex.outside_fraction = float(sum(fractions) / len(fractions))
+        start += n
 
     return [v for v in vertices if v.outside_fraction <= params.tau]
 

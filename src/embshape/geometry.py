@@ -12,10 +12,16 @@ pool words; each triangle then costs O(N) rather than a pass over the
 N x D cloud. ``project_triple`` is the direct projection, for a single
 triangle. Both build the frame and the 3 x 2 triangle from the corner
 vectors themselves, so they raise the same ``DegenerateTriangleError``s.
+
+Whether a triangle is degenerate is thus known before any word is
+projected: samplers draw their triangles with ``PoolProduct.triangle``
+first and then count them all with one ``PoolProduct.count``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,18 +57,19 @@ def _plane_basis(
     Also returns (|u|, w.e1, |r|): a point p has coordinates
     x = <p-a, u> / |u| and y = (<p-a, w> - (w.e1) x) / |r|.
     """
+    # sqrt(v.dot(v)) is np.linalg.norm(v) for a vector, without its checks
     u = b - a
-    nu = np.linalg.norm(u)
+    nu = math.sqrt(u.dot(u))
     if nu < 1e-12:
         raise DegenerateTriangleError("first two points coincide")
     e1 = u / nu
     w = c - a
-    nw = np.linalg.norm(w)
+    nw = math.sqrt(w.dot(w))
     if nw < 1e-12:
         raise DegenerateTriangleError("the third point coincides with the first")
     t = w @ e1
     r = w - t * e1
-    nr = np.linalg.norm(r)
+    nr = math.sqrt(r.dot(r))
     if nr < 1e-9 * nw:
         raise DegenerateTriangleError("the three points are nearly collinear")
     return e1, r / nr, (nu, t, nr)
@@ -90,6 +97,18 @@ def project_triple(
     return _project(space.vectors, a, e1, e2), tri2d
 
 
+@dataclass(frozen=True, eq=False)
+class PoolTriangle:
+    """A triangle of three pool words that projection and containment
+    accept: its corners, the frame's (|u|, w.e1, |r|) from ``_plane_basis``,
+    its 3 x 2 triangle and that triangle's signed double area."""
+
+    corners: tuple[int, int, int]
+    scale: tuple[float, float, float]
+    tri2d: np.ndarray
+    det: float
+
+
 class PoolProduct:
     """The centered cloud's products with a pool of its own words, for
     projecting the cloud onto many triangles over that pool.
@@ -111,6 +130,28 @@ class PoolProduct:
             space.vectors, mean, space.vectors[words] - mean
         )
 
+    def _frame(self, ia: int, ib: int, ic: int) -> tuple[tuple, np.ndarray]:
+        """The frame's (|u|, w.e1, |r|) and the 3 x 2 triangle, from the
+        corner vectors exactly as in ``project_triple``."""
+        a, b, c = (self.space.vectors[i] for i in (ia, ib, ic))
+        e1, e2, scale = _plane_basis(a, b, c)
+        return scale, _project(np.vstack((a, b, c)), a, e1, e2)
+
+    def _coordinates(self, corners, scale, x, y, scratch) -> None:
+        """Write every word's frame coordinates into the N-length buffers
+        ``x`` and ``y``: x = du / |u| and y = (dw - (w.e1) x) / |r|, where
+        du = g_b - g_a and dw = g_c - g_a, each shifted to 0 at corner a."""
+        nu, t, nr = scale
+        ga, gb, gc = (self._products[self._row[i]] for i in corners)
+        np.subtract(gb, ga, out=x)
+        x -= x[corners[0]]
+        x /= nu
+        np.subtract(gc, ga, out=y)
+        y -= y[corners[0]]
+        np.multiply(x, t, out=scratch)
+        y -= scratch
+        y /= nr
+
     def project(self, ia: int, ib: int, ic: int) -> tuple[np.ndarray, np.ndarray]:
         """``project_triple`` for three pool words, from the products.
 
@@ -118,32 +159,72 @@ class PoolProduct:
         in ``project_triple``; the words' coordinates agree with its to
         rounding.
         """
-        a, b, c = (self.space.vectors[i] for i in (ia, ib, ic))
-        e1, e2, (nu, t, nr) = _plane_basis(a, b, c)
-        ga, gb, gc = (self._products[self._row[i]] for i in (ia, ib, ic))
-        du = gb - ga
-        du -= du[ia]
-        dw = gc - ga
-        dw -= dw[ia]
-        x = du / nu
-        coords = np.column_stack((x, (dw - t * x) / nr))
-        return coords, _project(np.vstack((a, b, c)), a, e1, e2)
+        scale, tri2d = self._frame(ia, ib, ic)
+        x, y, scratch = np.empty((3, self.space.n_words))
+        self._coordinates((ia, ib, ic), scale, x, y, scratch)
+        return np.column_stack((x, y)), tri2d
 
     def triangle_stats(self, ia: int, ib: int, ic: int) -> TripleStats:
         """``triangle_stats`` for three pool words, from the products."""
         return _stats(*self.project(ia, ib, ic))
 
+    def triangle(self, ia: int, ib: int, ic: int) -> PoolTriangle:
+        """The triangle of three pool words, for ``count``. It is built
+        from the corner vectors alone, and raises ``DegenerateTriangleError``
+        where ``project`` or ``containment`` would."""
+        scale, tri2d = self._frame(ia, ib, ic)
+        return PoolTriangle((ia, ib, ic), scale, tri2d, _check_nondegenerate(tri2d))
 
-def _signed_double_area(tri2d: np.ndarray) -> float:
-    (x1, y1), (x2, y2), (x3, y3) = tri2d
-    return (x1 - x3) * (y2 - y3) - (x2 - x3) * (y1 - y3)
+    def count(self, triangles: Sequence[PoolTriangle], incircle: bool = False) -> np.ndarray:
+        """Per triangle, the fraction of the N words inside it and, with
+        ``incircle``, the fraction outside its incircle (NaN without): the
+        fractions of ``triangle_stats``, bit for bit, as a T x 2 array.
+
+        Without the incircle the inside mask is counted from the
+        expressions of ``_barycentric_weights``, evaluated in the same order
+        into five preallocated N-length buffers; with it the coordinates go
+        to ``containment``.
+        """
+        n = self.space.n_words
+        fractions = np.full((len(triangles), 2), np.nan)
+        x, y, scratch, l1, l2 = np.empty((5, n))
+        inside, other = np.empty((2, n), dtype=bool)
+        floor = -BARYCENTRIC_INSIDE_TOL
+        for row, tri in zip(fractions, triangles):
+            self._coordinates(tri.corners, tri.scale, x, y, scratch)
+            if incircle:
+                stats = _stats(np.column_stack((x, y)), tri.tri2d)
+                row[:] = stats.inside_triangle_fraction, stats.outside_incircle_fraction
+                continue
+            (x1, y1), (x2, y2), (x3, y3) = tri.tri2d
+            x -= x3  # dx
+            y -= y3  # dy
+            np.multiply(x, y2 - y3, out=l1)
+            np.multiply(y, x3 - x2, out=scratch)
+            l1 += scratch
+            l1 /= tri.det
+            np.multiply(x, y3 - y1, out=l2)
+            np.multiply(y, x1 - x3, out=scratch)
+            l2 += scratch
+            l2 /= tri.det
+            np.subtract(1.0, l1, out=scratch)
+            scratch -= l2  # l3
+            np.greater_equal(l1, floor, out=inside)
+            inside &= np.greater_equal(l2, floor, out=other)
+            inside &= np.greater_equal(scratch, floor, out=other)
+            row[0] = float(np.count_nonzero(inside)) / n
+        return fractions
 
 
 def _check_nondegenerate(tri2d: np.ndarray) -> float:
-    det = _signed_double_area(tri2d)
+    """The triangle's signed double area; raises when it is ~0 against the
+    squared length of its longest side. Computed on Python floats, which
+    round each operation as numpy's float64 does."""
+    (x1, y1), (x2, y2), (x3, y3) = corners = tri2d.tolist()
+    det = (x1 - x3) * (y2 - y3) - (x2 - x3) * (y1 - y3)
     scale2 = max(
-        float(np.sum((tri2d[i] - tri2d[j]) ** 2))
-        for i, j in ((0, 1), (0, 2), (1, 2))
+        (p[0] - q[0]) * (p[0] - q[0]) + (p[1] - q[1]) * (p[1] - q[1])
+        for p, q in itertools.combinations(corners, 2)
     )
     if abs(det) <= _DEGENERACY_REL_TOL * scale2:
         raise DegenerateTriangleError("triangle is degenerate (area ~ 0)")

@@ -23,10 +23,10 @@ from .extractor import (
     ExtractionParams,
     check_sample_count,
     describe_vertex,
+    draw_triangles,
     filter_false_vertices,
     find_candidates,
     glue_candidates,
-    sample_triangles,
 )
 from .geometry import PoolProduct, containment, project_triple
 from .pca import fit_pca, informative_axis_count
@@ -94,23 +94,30 @@ def sample_triple_stats(
     vertex_indices: Sequence[int],
     num_samples: int,
     seed: int,
+    product: PoolProduct | None = None,
 ) -> list[dict]:
     """Containment stats for seeded random triples of the given vertices.
 
     Degenerate triples are redrawn, up to 10 x num_samples attempts; fewer
-    than 3 vertices give no triples. All triples are projected through one
-    ``PoolProduct`` over the vertices.
+    than 3 vertices give no triples. All triples are drawn first and then
+    counted at once through ``product``, a ``PoolProduct`` over exactly
+    ``vertex_indices``; one is built when none is given. (A product over
+    a larger pool holds the same rows, but for a short block of the cloud
+    BLAS may round them differently.)
     """
     names = [space.words[i] for i in vertex_indices]
-    product = PoolProduct(space, vertex_indices)
+    if product is None:
+        product = PoolProduct(space, vertex_indices)
     rng = np.random.default_rng([seed, _TRIPLE_STREAM])
+    drawn = draw_triangles(product, vertex_indices, num_samples, rng)
+    fractions = product.count([triangle for _, triangle in drawn], incircle=True)
     return [
         {
             "vertices": [names[int(p)] for p in picks],
-            "inside_triangle_fraction": _round6(stats.inside_triangle_fraction),
-            "outside_incircle_fraction": _round6(stats.outside_incircle_fraction),
+            "inside_triangle_fraction": _round6(inside),
+            "outside_incircle_fraction": _round6(outside),
         }
-        for picks, stats in sample_triangles(product, vertex_indices, num_samples, rng)
+        for (picks, _), (inside, outside) in zip(drawn, fractions.tolist())
     ]
 
 
@@ -164,7 +171,8 @@ def analyze_space(
     if len(vertices) < 3:
         warnings.append("fewer than 3 vertices; false-vertex filter skipped")
     with timer.stage("filter"):
-        survivors = filter_false_vertices(space, vertices, params)
+        product = PoolProduct(space, [v.representative for v in vertices])
+        survivors = filter_false_vertices(space, vertices, params, product=product)
     survivor_ids = {id(v) for v in survivors}
     rejected = [v for v in vertices if id(v) not in survivor_ids]
 
@@ -195,8 +203,13 @@ def analyze_space(
 
     reps = [v.representative for v in survivors]
     with timer.stage("triples"):
+        # with no vertex rejected the filter's product is over the same pool
         triple_sample = sample_triple_stats(
-            space, reps, config.triple_samples, config.seed
+            space,
+            reps,
+            config.triple_samples,
+            config.seed,
+            product=None if rejected else product,
         )
     if len(survivors) < 3:
         warnings.append("fewer than 3 surviving vertices; no triples sampled")

@@ -741,6 +741,36 @@ class TestHelperProcess:
         assert space.vectors.tobytes() == expected.vectors.tobytes()
         assert len(os.listdir("/proc/self/fd")) == fds
 
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_a_worker_gone_before_its_first_job_leaves_every_block_here(
+        self, helper, monkeypatch
+    ):
+        # the worker leaves at once, and the parent waits for that (without
+        # reaping it) before it sends the first job into the closed pipe
+        monkeypatch.setattr(embeddings, "_helper_main", lambda *args: None)
+        fork = os.fork
+
+        def fork_and_wait_for_the_exit():
+            pid = fork()
+            if pid:
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_and_wait_for_the_exit)
+        sent = []
+        send = embeddings._BlockMatrix._send
+        monkeypatch.setattr(
+            embeddings._BlockMatrix,
+            "_send",
+            lambda matrix, block: sent.append(send(matrix, block)) or sent[-1],
+        )
+        data = _cloud_text(30, odd_row=14)
+        space = parse_embeddings(data)
+        assert sent == [False]  # the BrokenPipeError, then no more jobs
+        expected = _inline(data)
+        assert space.words == expected.words
+        assert space.vectors.tobytes() == expected.vectors.tobytes()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
     def test_no_process_to_spare_converts_every_block_here(self, helper, monkeypatch):
         def no_fork():

@@ -188,6 +188,58 @@ def test_a_cache_that_cannot_be_written_changes_nothing(tmp_path, cache, monkeyp
         cache.chmod(0o755)
 
 
+def test_a_hit_whose_use_cannot_be_recorded_is_still_served(tmp_path, cache, monkeypatch):
+    path = tmp_path / "e.txt"
+    path.write_text(glove(50))
+    expected, _ = load(path)
+    (entry,) = entries(cache)
+    used = entry.stat().st_mtime_ns
+
+    def read_only(_):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(embeddings, "_touch", read_only)
+    space, hit = load(path)
+    assert hit == 1 and same_space(space, expected)
+    assert entries(cache) == [entry] and entry.stat().st_mtime_ns == used
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_an_entry_that_fails_to_land_leaves_no_temp_file(tmp_path, cache, monkeypatch, error):
+    path = tmp_path / "e.txt"
+    path.write_text(glove(50))
+
+    def fails(_):  # the last step before the temp file is moved into place
+        raise error
+
+    monkeypatch.setattr(embeddings, "_touch", fails)
+    if isinstance(error, OSError):  # a cache that cannot be written is a miss
+        space, hit = load(path)
+        assert hit == 0 and same_space(space, embeddings.parse_embeddings(path))
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            load(path)
+    assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["garbage", "dangling_link"])
+def test_an_entry_that_cannot_be_read_goes_when_another_is_written(tmp_path, cache, kind):
+    first = tmp_path / "e.txt"
+    first.write_text(glove(20))
+    load(first)
+    bad = cache / "bad.npz"
+    if kind == "garbage":  # np.load raises
+        bad.write_bytes(b"PK\x03\x04 not a zip")
+    else:  # open raises an OSError
+        bad.symlink_to(tmp_path / "gone.npz")
+    second = tmp_path / "f.txt"
+    second.write_text(glove(20, seed=1))
+    load(second)
+    assert not bad.is_symlink() and not bad.exists()
+    assert len(entries(cache)) == 2
+    assert load(first)[1] == load(second)[1] == 1
+
+
 def test_a_cache_home_that_is_a_file_changes_nothing(tmp_path, monkeypatch):
     home = tmp_path / "not-a-dir"
     home.write_text("")
