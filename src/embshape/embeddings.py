@@ -92,6 +92,13 @@ class EmbeddingSpace:
         norms.setflags(write=False)
         return norms
 
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """The cloud's mean row, computed on first use, read-only."""
+        mean = self.vectors.mean(axis=0)
+        mean.setflags(write=False)
+        return mean
+
     @property
     def n_words(self) -> int:
         return self.vectors.shape[0]
@@ -130,14 +137,9 @@ _ZIP_MAGIC = b"PK\x03\x04"
 
 def _byte_lines(source: Union[str, Path, bytes, BinaryIO]) -> Iterator[bytes]:
     """The lines of ``source``, a path, ``bytes`` or a binary stream, as
-    strict UTF-8 bytes.
-
-    Lines end at LF, CRLF or a lone CR. A line that is not ASCII is decoded
-    to check it, so invalid UTF-8 is reported with the number of the line
-    that holds it. A source that starts with the gzip magic bytes is read
-    decompressed; one that is a zip archive, or binary word2vec (a 'N D'
-    header and then a row that is not text), fails with an error that
-    names the format.
+    bytes. Lines end at LF, CRLF or a lone CR. A source that starts with the
+    gzip magic bytes is read decompressed; a zip archive fails with an error
+    that names the format.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -158,31 +160,13 @@ def _byte_lines(source: Union[str, Path, bytes, BinaryIO]) -> Iterator[bytes]:
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise EmbeddingFormatError("invalid gzip input (%s)" % exc) from None
         return
-    lineno = 0
-    header = b""
     for chunk in source:
         # A chunk ends at its one LF, or at the end of the input. bytes
         # break lines only at LF, CRLF and CR, so a lone CR ends a line too.
-        for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
-            lineno += 1
-            if lineno == 2 and _is_binary_w2v_row(header, raw):
-                raise EmbeddingFormatError(
-                    "line 2: a binary word2vec row; only the text format is read, "
-                    "so convert the file first (e.g. with gensim: KeyedVectors."
-                    "load_word2vec_format(path, binary=True).save_word2vec_format("
-                    "out, binary=False))"
-                )
-            if not raw.isascii():
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise EmbeddingFormatError(
-                        "line %d: invalid UTF-8 at byte %d of the line (%s)"
-                        % (lineno, exc.start + 1, exc.reason)
-                    ) from None
-            if lineno == 1:
-                header = raw
-            yield raw
+        if b"\r" in chunk:
+            yield from chunk.splitlines(keepends=True)
+        else:
+            yield chunk
 
 
 def _first_bytes(source: BinaryIO, size: int) -> bytes:
@@ -198,30 +182,19 @@ def _first_bytes(source: BinaryIO, size: int) -> bytes:
     return b""
 
 
-def _is_binary_w2v_row(header: bytes, row: bytes) -> bool:
-    """Whether ``row``, the line after ``header``, starts the binary word2vec
-    format: ``header`` is a 'N D' line, and ``row`` is not text (it holds a
-    NUL byte or is not UTF-8) and holds fewer than D spaces, so it would
-    fail as a text row anyway."""
-    if b"\0" not in row:
-        try:
-            row.decode("utf-8")
-            return False
-        except UnicodeDecodeError:
-            pass
-    parts = header.removeprefix(_BOM).split()
-    return (
-        len(parts) == 2
-        and all(part.isdigit() for part in parts)
-        and row.count(b" ") < int(parts[1])
-    )
-
-
 # Kept rows are converted this many at a time, one np.loadtxt call per block.
 BLOCK_ROWS = 1024
 
 # The warning a repeated token logs; a cache hit logs those of its parse again.
 _DUPLICATE = "line %d: duplicate token %r, keeping first occurrence"
+# The error of the first data row after a 'N D' header when that row is not
+# text (it holds a NUL byte or is not UTF-8) and, counted on the raw line,
+# holds fewer than D spaces, so it would fail as a text row anyway.
+_BINARY_W2V = (
+    "line %d: a binary word2vec row; only the text format is read, so convert "
+    "the file first (e.g. with gensim: KeyedVectors.load_word2vec_format(path, "
+    "binary=True).save_word2vec_format(out, binary=False))"
+)
 
 _BOM = "\ufeff".encode()
 # The ASCII characters that str.rstrip() strips.
@@ -522,7 +495,8 @@ def parse_embeddings(
 ) -> EmbeddingSpace:
     """Parse GloVe/word2vec text from a path, ``bytes`` or a binary stream
     into an EmbeddingSpace. The first non-blank line decides the format
-    (see ``detect_format``).
+    (see ``detect_format``); the first data row after a header that is not
+    text is named as binary word2vec, which is not read.
 
     Keeps the first ``max_words`` unique tokens in file order. A repeated
     token keeps its first vector and does not consume a slot. The dimension
@@ -551,9 +525,20 @@ def _parse(
     seen: set[str] = set()
     duplicates: list[list] = []
     dim: int | None = None
+    header = False  # whether the first non-blank line is a 'N D' header
     rows = None  # a _BlockMatrix from the line that gives D on
     try:
         for lineno, raw in enumerate(_byte_lines(source), 1):
+            if not raw.isascii():
+                try:
+                    raw.decode()
+                except UnicodeDecodeError as exc:
+                    if header and not words and raw.count(b" ") < dim:
+                        raise EmbeddingFormatError(_BINARY_W2V % lineno) from None
+                    raise EmbeddingFormatError(
+                        "line %d: invalid UTF-8 at byte %d of the line (%s)"
+                        % (lineno, exc.start + 1, exc.reason)
+                    ) from None
             if lineno == 1:
                 raw = raw.removeprefix(_BOM)
             line = raw.rstrip(_ASCII_SPACE)
@@ -576,6 +561,8 @@ def _parse(
             elif spaces > dim:
                 cut = len(line.rsplit(b" ", dim)[0])
             else:
+                if header and not words and b"\0" in raw and raw.count(b" ") < dim:
+                    raise EmbeddingFormatError(_BINARY_W2V % lineno)
                 raise EmbeddingFormatError(
                     "line %d: expected %d coordinates, found %d"
                     % (lineno, dim, spaces)
@@ -780,7 +767,10 @@ def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
             entry.unlink(missing_ok=True)
             return
         entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=entry.parent)
+        # the writer's pid in the name lets a later prune find a killed writer's temp
+        fd, temp = tempfile.mkstemp(
+            prefix=".%d." % os.getpid(), suffix=".tmp", dir=entry.parent
+        )
         try:
             with open(fd, "wb") as fh:
                 np.savez(
@@ -800,10 +790,13 @@ def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
 
 
 def _prune(entry: Path) -> None:
-    """Delete the entries whose source file is gone, or that cannot be
-    read; then, from the one used last, keep others while there are fewer
-    than _CACHE_ENTRIES and they fit in _CACHE_BYTES with ``entry``, and
-    delete the rest."""
+    """Delete the temp files of writers that no longer run, and the entries
+    whose source file is gone, or that cannot be read; then, from the one
+    used last, keep others while there are fewer than _CACHE_ENTRIES and
+    they fit in _CACHE_BYTES with ``entry``, and delete the rest."""
+    for temp in entry.parent.glob(".*.tmp"):
+        if _writer_gone(temp.name):
+            temp.unlink(missing_ok=True)
     kept = []
     for other in entry.parent.glob("*.npz"):
         if other == entry:
@@ -824,6 +817,22 @@ def _prune(entry: Path) -> None:
         count, total = count + 1, total + size
         if count > _CACHE_ENTRIES or total > _CACHE_BYTES:
             other.unlink(missing_ok=True)
+
+
+def _writer_gone(temp: str) -> bool:
+    """Whether the temp file named ``temp`` was left by a writer that no
+    longer runs, as when it was killed before it moved the temp into place.
+    A name without a pid, or with the pid of a process that runs, is kept."""
+    pid = temp.split(".")[1]
+    if os.name != "posix" or not pid.isdigit():  # elsewhere signal 0 is not a probe
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # it runs as another user, or no pid is that large
+        pass
+    return False
 
 
 def write_glove_text(space: EmbeddingSpace, out: Union[str, Path, TextIO]) -> None:

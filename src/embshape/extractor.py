@@ -232,7 +232,7 @@ def draw_triangles(
     count: int,
     rng: np.random.Generator,
     apex: int | None = None,
-) -> list[tuple[np.ndarray, PoolTriangle]]:
+) -> list[PoolTriangle]:
     """Up to ``count`` random triangles over ``pool``, for ``product.count``.
 
     Each draw takes 3 distinct pool positions with ``rng.choice``, or 2
@@ -242,15 +242,15 @@ def draw_triangles(
     ``count`` come back when the draws run out; a pool too small for one
     draw gives none. A draw is degenerate or not by its corner vectors
     alone, so every draw, and the ``triangles`` and ``redraws`` counted
-    here, is settled before any word is projected. Returns (drawn
-    positions, triangle) pairs in draw order.
+    here, is settled before any word is projected. Returns the triangles
+    in draw order.
     """
     check_sample_count(count)
     size = 3 if apex is None else 2
     if len(pool) < size:
         return []
     apex_corner = () if apex is None else (apex,)
-    drawn: list[tuple[np.ndarray, PoolTriangle]] = []
+    drawn: list[PoolTriangle] = []
     attempts = 0
     while len(drawn) < count and attempts < 10 * count:
         attempts += 1
@@ -262,7 +262,7 @@ def draw_triangles(
             stages.count("redraws")
             continue
         stages.count("triangles")
-        drawn.append((picks, triangle))
+        drawn.append(triangle)
     return drawn
 
 
@@ -307,7 +307,7 @@ def filter_false_vertices(
                 "all sampled triples degenerate for vertex %r"
                 % space.words[vertex.representative]
             )
-        triangles.extend(triangle for _, triangle in drawn)
+        triangles.extend(drawn)
         drawn_per_vertex.append(len(drawn))
 
     inside = product.count(triangles)[:, 0].tolist()

@@ -125,9 +125,8 @@ class PoolProduct:
         self.space = space
         words = list(dict.fromkeys(int(w) for w in pool))
         self._row = {w: j for j, w in enumerate(words)}
-        mean = space.vectors.mean(axis=0)
         self._products = centered_product(
-            space.vectors, mean, space.vectors[words] - mean
+            space.vectors, space.mean, space.vectors[words] - space.mean
         )
 
     def _frame(self, ia: int, ib: int, ic: int) -> tuple[tuple, np.ndarray]:

@@ -77,8 +77,7 @@ def fit_pca(space: EmbeddingSpace, num_axes: int) -> PcaModel:
     if not 1 <= num_axes <= d:
         raise ValueError("num_axes must be in [1, %d], got %d" % (d, num_axes))
 
-    mean = space.vectors.mean(axis=0)
-    cov = _covariance(space.vectors, mean)
+    cov = _covariance(space.vectors, space.mean)
     evals, evecs = np.linalg.eigh(cov)  # ascending order
     evals = np.maximum(evals[::-1], 0.0)
     evecs = evecs[:, ::-1]
@@ -90,7 +89,7 @@ def fit_pca(space: EmbeddingSpace, num_axes: int) -> PcaModel:
             row *= -1.0
 
     return PcaModel(
-        mean=mean,
+        mean=space.mean,
         axes=axes,
         eigenvalues=evals[:num_axes].copy(),
         total_variance=float(np.trace(cov)),

@@ -105,19 +105,18 @@ def sample_triple_stats(
     a larger pool holds the same rows, but for a short block of the cloud
     BLAS may round them differently.)
     """
-    names = [space.words[i] for i in vertex_indices]
     if product is None:
         product = PoolProduct(space, vertex_indices)
     rng = np.random.default_rng([seed, _TRIPLE_STREAM])
     drawn = draw_triangles(product, vertex_indices, num_samples, rng)
-    fractions = product.count([triangle for _, triangle in drawn], incircle=True)
+    fractions = product.count(drawn, incircle=True)
     return [
         {
-            "vertices": [names[int(p)] for p in picks],
+            "vertices": [space.words[c] for c in triangle.corners],
             "inside_triangle_fraction": _round6(inside),
             "outside_incircle_fraction": _round6(outside),
         }
-        for (picks, _), (inside, outside) in zip(drawn, fractions.tolist())
+        for triangle, (inside, outside) in zip(drawn, fractions.tolist())
     ]
 
 

@@ -893,16 +893,38 @@ class TestContainers:
             with pytest.raises(EmbeddingFormatError, match="^the input is a zip archive; extract"):
                 parse_embeddings(source)
 
-    def test_binary_word2vec_names_the_format(self):
+    @pytest.mark.parametrize("pack", [bytes, gzip.compress], ids=["plain", "gzip"])
+    @pytest.mark.parametrize(
+        "head,message",
+        [
+            (b"3 3\n", "^line 2: a binary word2vec row; only the text"),
+            (b"\n3 3\n", "^line 3: a binary word2vec row; only the text"),
+            (b"3 3\n\n", "^line 3: a binary word2vec row; only the text"),
+            (b"+3 3\n", "^line 2: a binary word2vec row; only the text"),
+            (b"\xef\xbb\xbf3 3\n", "^line 2: a binary word2vec row; only the text"),
+            # a row of zeros is UTF-8, but holds NUL bytes
+            (b"3 3\nnil " + bytes(12) + b"\n", "^line 2: a binary word2vec row; only the text"),
+            # text with too few coordinates is no binary row
+            (b"3 3\nthe 1.0 -0.5\n", "^line 2: expected 3 coordinates, found 2$"),
+        ],
+        ids=[
+            "header",
+            "blank-before-header",
+            "blank-after-header",
+            "plus-header",
+            "bom-header",
+            "nul-row",
+            "short-text-row",
+        ],
+    )
+    def test_binary_word2vec_names_the_format(self, head, message, pack):
         rows = [(b"the", [1.0, -0.5, 0.25]), (b"of", [0.125, 2.0, -1.0]), (b"and", [0.0, 3.5, 1.5])]
-        data = b"3 3\n" + b"".join(
+        data = head + b"".join(
             token + b" " + np.array(values, dtype="<f4").tobytes() + b"\n" for token, values in rows
         )
-        with pytest.raises(EmbeddingFormatError, match="^line 2: a binary word2vec row; only the text"):
-            parse_embeddings(data)
-        # gzip-compressed, as the common release ships
-        with pytest.raises(EmbeddingFormatError, match="^line 2: a binary word2vec row"):
-            parse_embeddings(gzip.compress(data))
+        # gzip-compressed too, as the common release ships
+        with pytest.raises(EmbeddingFormatError, match=message):
+            parse_embeddings(pack(data))
 
     @pytest.mark.parametrize("blocks", [3, 7])
     def test_report_on_a_gzip_file_is_the_report_on_the_file(self, tmp_path, blocks):

@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -220,6 +221,35 @@ def test_an_entry_that_fails_to_land_leaves_no_temp_file(tmp_path, cache, monkey
         with pytest.raises(KeyboardInterrupt):
             load(path)
     assert list(cache.iterdir()) == []
+
+
+def test_a_killed_writers_temp_file_goes_when_another_entry_is_written(tmp_path, cache):
+    first = tmp_path / "e.txt"
+    first.write_text(glove(20))
+    # a writer killed inside the write, before its temp is moved into place
+    killed = (
+        "import os, sys\n"
+        "from embshape import embeddings\n"
+        "embeddings.np.savez = lambda *args, **kwargs: os._exit(0)\n"
+        "embeddings.load_embeddings(sys.argv[1])\n"
+        "os._exit(1)\n"
+    )
+    child = subprocess.Popen([sys.executable, "-c", killed, str(first)])
+    assert child.wait() == 0  # reaped: no process has its pid now
+    (dead,) = cache.glob(".%d.*.tmp" % child.pid)
+    kept = [
+        cache / (".%d.x.tmp" % os.getpid()),  # a write of this process in flight
+        cache / ".wgo3csz8.tmp",  # no pid to tell whether its writer runs
+        cache / (".%d.x.tmp" % 10**20),  # no process has so large a pid
+    ]
+    for temp in kept:
+        temp.write_bytes(b"")
+    second = tmp_path / "f.txt"
+    second.write_text(glove(20, seed=1))
+    load(second)
+    assert not dead.exists()
+    assert all(temp.exists() for temp in kept)
+    assert len(entries(cache)) == 1
 
 
 @pytest.mark.parametrize("kind", ["garbage", "dangling_link"])
