@@ -15,6 +15,7 @@ import contextlib
 import gzip
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -44,9 +45,33 @@ W2V_TEXT = "w2v_text"
 
 DEFAULT_MAX_WORDS = 50_000
 
-# Rows per block of every pass over a whole matrix, here and in pca: no pass
-# holds an N x D temporary, and threads cannot change how a sum is ordered.
+# Rows per block of the passes that sum over rows (the row norms here and
+# the covariance in pca): no pass holds an N x D temporary, and threads
+# cannot change how a sum is ordered.
 _MATRIX_BLOCK_ROWS = 8192
+# Rows per block of the passes that take products row by row (glue's
+# queries, centered products, the direct projection): 2048 rows of 300
+# float64 are 4.9 MB, which stay in cache while every product reads them.
+_CACHE_BLOCK_ROWS = 2048
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most ``_CACHE_BLOCK_ROWS`` rows that cover ``n`` rows in
+    order, each starting at a multiple of a quarter block.
+
+    A product taken block by block has the bits of the whole-matrix product
+    only while no block is short: BLAS takes other kernels for a few rows (a
+    mat-vec of one row, a GEMM of some hundred). So a last block of fewer
+    than a quarter block takes a quarter block from the one before it.
+    Blocks of whole quarter blocks also split evenly between BLAS threads,
+    so with OpenBLAS a blocked mat-vec rounds every row as a one-thread
+    whole mat-vec does, at any thread count.
+    """
+    size = _CACHE_BLOCK_ROWS
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < size // 4:
+        starts[-1] -= size // 4
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 @dataclass(eq=False)
@@ -72,11 +97,13 @@ class EmbeddingSpace:
             )
         if len(self.words) == 0:
             raise ValueError("an embedding space needs at least one word")
-        self.index = {}
-        for i, w in enumerate(self.words):
-            if w in self.index:
-                raise ValueError("duplicate token %r" % w)
-            self.index[w] = i
+        self.index = dict(zip(self.words, range(len(self.words))))
+        if len(self.index) < len(self.words):
+            seen = set()
+            for w in self.words:
+                if w in seen:
+                    raise ValueError("duplicate token %r" % w)
+                seen.add(w)
         if not np.isfinite(self.vectors).all():
             raise ValueError("vectors contain non-finite values")
         self.vectors.setflags(write=False)
@@ -612,11 +639,12 @@ def load_embeddings(
 
 
 # The parse cache keeps, per real path and max_words, the words and
-# raw matrix of the last parse of a file, with the length and SHA-256 of
-# the bytes that parse read and whether it read to the end of the file. An
-# entry is served only while those bytes are unchanged: its first
-# ``length`` bytes hash the same and, for a parse that read to the end, the
-# size is the same. The key also holds the parser's identity (see
+# raw matrix of the last parse of a file, with the length of the bytes that
+# parse read, the SHA-256 of each _SEGMENT bytes of them and whether it read
+# to the end of the file. An entry is served only while those bytes are
+# unchanged: each segment of its first ``length`` bytes hashes the same
+# and, for a parse that read to the end, the size is the same. The key also
+# holds the parser's identity (see
 # _parser_identity), so an entry of another version of the parser is never
 # served. At most _CACHE_ENTRIES entries of at most _CACHE_BYTES together
 # are kept; a parse whose entry alone would be larger writes none.
@@ -624,6 +652,9 @@ _CACHE_ENTRIES = 8
 _CACHE_BYTES = 2 << 30
 # The source is read, and hashed, in chunks of this size.
 _READ_CHUNK = 1 << 20
+# Bytes per separately hashed segment of the source, so that a hit can hash
+# the segments on every core.
+_SEGMENT = 32 << 20
 # What a cache entry that cannot be read raises; each is a miss.
 _ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
 
@@ -651,12 +682,14 @@ def _parser_identity() -> str | None:
 
 
 class _HashingReader(io.RawIOBase):
-    """A raw file that hashes and counts the bytes read through it, and
-    notes whether a read reached the end of the file."""
+    """A raw file that counts the bytes read through it and hashes each
+    _SEGMENT of them, and notes whether a read reached the end of the
+    file."""
 
     def __init__(self, raw: io.RawIOBase):
         self._raw = raw
-        self.sha = hashlib.sha256()
+        self._sha = hashlib.sha256()
+        self._done: list[str] = []  # the digests of the whole segments read
         self.length = 0
         self.eof = False
 
@@ -665,24 +698,48 @@ class _HashingReader(io.RawIOBase):
 
     def readinto(self, buf) -> int:
         n = self._raw.readinto(buf)
-        if n:
-            self.sha.update(memoryview(buf)[:n])
-            self.length += n
-        else:
+        if not n:
             self.eof = True
+            return n
+        view = memoryview(buf)[:n]
+        while view:
+            part = view[: _SEGMENT - self.length % _SEGMENT]
+            self._sha.update(part)
+            self.length += len(part)
+            view = view[len(part) :]
+            if self.length % _SEGMENT == 0:
+                self._done.append(self._sha.hexdigest())
+                self._sha = hashlib.sha256()
         return n
 
+    def segments(self) -> list[str]:
+        """The SHA-256 of each _SEGMENT of the bytes read, in order; the
+        last segment may be short."""
+        short = [self._sha.hexdigest()] if self.length % _SEGMENT else []
+        return self._done + short
 
-def _digest(path: str, length: int) -> str | None:
-    """The SHA-256 of the first ``length`` bytes of ``path``; None when the
-    file is shorter."""
-    view = memoryview(bytearray(_READ_CHUNK))
+
+def _segment_digest(path: str, start: int, end: int) -> str | None:
+    """The SHA-256 of bytes ``start`` to ``end`` of ``path``; None when
+    the file ends before ``end``."""
+    sha = hashlib.sha256()
+    view = memoryview(bytearray(min(end - start, _READ_CHUNK)))
     with open(path, "rb", buffering=0) as raw:
-        reader = _HashingReader(raw)
-        while reader.length < length:
-            if not reader.readinto(view[: min(length - reader.length, _READ_CHUNK)]):
+        raw.seek(start)
+        while start < end:
+            n = raw.readinto(view[: min(end - start, _READ_CHUNK)])
+            if not n:
                 return None
-    return reader.sha.hexdigest()
+            sha.update(view[:n])
+            start += n
+    return sha.hexdigest()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _load_file(path: Union[str, Path], max_words: int) -> EmbeddingSpace:
@@ -713,7 +770,7 @@ def _load_file(path: Union[str, Path], max_words: int) -> EmbeddingSpace:
     meta = dict(
         key,
         length=reader.length,
-        sha256=reader.sha.hexdigest(),
+        segments=reader.segments(),
         eof=reader.eof,
         duplicates=duplicates,
     )
@@ -724,19 +781,27 @@ def _load_file(path: Union[str, Path], max_words: int) -> EmbeddingSpace:
 def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
     """The space of ``entry`` when it was written for ``key`` and the
     source bytes it was parsed from are unchanged, after replaying the
-    parse's duplicate warnings; None in any other case. The source is
-    hashed in a thread while the entry is read: both release the GIL."""
+    parse's duplicate warnings; None in any other case. The segments of the
+    source are hashed on a pool of threads, one per usable CPU and no more
+    than there are segments, while the entry is read: both release the
+    GIL."""
     try:
         # np.load leaves a file it opened open when the zip is corrupt
         with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             meta = json.loads(npz["meta"].tobytes())
             if {k: meta[k] for k in key} != key or meta["eof"] and meta["length"] != size:
                 return None
-            with ThreadPoolExecutor(1) as pool:
-                digest = pool.submit(_digest, key["source"], meta["length"])
+            starts = range(0, meta["length"], _SEGMENT)
+            if len(starts) != len(meta["segments"]):
+                return None
+            ends = [*starts[1:], meta["length"]]
+            with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
+                digests = pool.map(
+                    _segment_digest, itertools.repeat(key["source"]), starts, ends
+                )
                 words = npz["words"].tobytes().decode().split("\n")
                 space = EmbeddingSpace(words=words, vectors=npz["vectors"])
-                if digest.result() != meta["sha256"]:
+                if list(digests) != meta["segments"]:
                     return None
     except _ENTRY_ERRORS:
         return None

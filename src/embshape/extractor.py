@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import logging
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, _row_blocks
 from .errors import DegenerateSamplingError, DegenerateTriangleError
 from .geometry import PoolProduct, PoolTriangle
 from .pca import PcaModel, centered_product
@@ -29,6 +30,10 @@ END_MAX = "max"
 # Stream tag for per-vertex RNGs; keeps them disjoint from other seeded
 # streams derived from the same user seed.
 _FILTER_STREAM = 0
+
+# The glue pass running now: its space and, by the id of each query it
+# holds, that query and the cloud's products with it (see glue_candidates).
+_glue_pass: ContextVar[tuple | None] = ContextVar("glue_pass", default=None)
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def topk_neighbors(
     stages.count("neighbor_queries")
     norms = space.row_norms
     zero = norms == 0.0
-    sims = (space.vectors @ query) / (np.where(zero, 1.0, norms) * qnorm)
+    sims = _cloud_products(space, query) / (np.where(zero, 1.0, norms) * qnorm)
     sims[zero] = 0.0
     nonzero = np.flatnonzero(~zero)
     if k >= len(nonzero):
@@ -151,8 +156,33 @@ def topk_neighbors(
     return [(int(i), float(sims[i])) for i in top]
 
 
+def _cloud_products(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
+    """``space.vectors @ query``: the glue pass's products when ``query``
+    is one of its queries, else a fresh mat-vec. Both have the same bits."""
+    active = _glue_pass.get()
+    if active is not None and active[0] is space:
+        held = active[1].get(id(query))
+        if held is not None and held[0] is query:
+            return held[1]
+    return space.vectors @ query
+
+
+def _query_products(vectors: np.ndarray, queries: Sequence[np.ndarray]) -> np.ndarray:
+    """The Q x N products of the cloud with Q queries: row j is
+    ``vectors @ queries[j]``, bit for bit. One pass over the row blocks of
+    ``_row_blocks`` reads each block from memory once and takes every
+    query's mat-vec on it while it is in cache."""
+    out = np.empty((len(queries), len(vectors)))
+    for rows in _row_blocks(len(vectors)):
+        block = vectors[rows]
+        for query, products in zip(queries, out):
+            np.matmul(block, query, out=products[rows])
+    return out
+
+
 def _jaccard(a: frozenset, b: frozenset) -> float:
-    return len(a & b) / len(a | b)
+    common = len(a & b)
+    return common / (len(a) + len(b) - common)
 
 
 def glue_by_neighbor_sets(
@@ -185,15 +215,24 @@ def glue_candidates(
     Two candidates are linked when the Jaccard overlap of their top-K
     neighbor index sets reaches the glue threshold; vertices are the
     connected components, ordered by their representative's source axis.
+    The products of the cloud with every unique candidate word are taken
+    in one pass (``_query_products``) and held while ``topk_neighbors``
+    ranks each word's neighborhood from them, one call per word.
     """
     if not candidates:
         raise ValueError("no candidates to glue")
-    ranked_by_word: dict[int, list[tuple[int, float]]] = {}
-    for cand in candidates:
-        if cand.word_index not in ranked_by_word:
-            ranked_by_word[cand.word_index] = topk_neighbors(
-                space, space.vectors[cand.word_index], params.k
-            )
+    words = list(dict.fromkeys(c.word_index for c in candidates))
+    queries = [space.vectors[w] for w in words]
+    products = _query_products(space.vectors, queries)
+    token = _glue_pass.set(
+        (space, {id(q): (q, p) for q, p in zip(queries, products)})
+    )
+    try:
+        ranked_by_word = {
+            w: topk_neighbors(space, q, params.k) for w, q in zip(words, queries)
+        }
+    finally:
+        _glue_pass.reset(token)
     sets = [
         frozenset(i for i, _ in ranked_by_word[c.word_index]) for c in candidates
     ]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DegenerateTriangleError
-from .pca import centered_product
+from .pca import _shifted_blocks, centered_product
 
 # A point counts as inside the triangle when all barycentric coordinates
 # are >= -BARYCENTRIC_INSIDE_TOL, so boundaries and vertices are inside.
@@ -87,6 +87,8 @@ def project_triple(
 
     The plane's origin is word ``ia``. Returns the N x 2 coordinates of
     every word and the 3 x 2 triangle of words ``ia``, ``ib``, ``ic``.
+    The words are shifted and projected in one pass over the blocks of
+    ``_row_blocks``, with the bits of ``_project`` on the whole cloud.
     The triangle is projected from its own 3 x D stack rather than read
     from the cloud's rows: the mat-vec kernels round differently on the
     two shapes, and the reports are pinned to this arithmetic.
@@ -94,7 +96,11 @@ def project_triple(
     a, b, c = space.vectors[ia], space.vectors[ib], space.vectors[ic]
     e1, e2, _ = _plane_basis(a, b, c)
     tri2d = _project(np.vstack((a, b, c)), a, e1, e2)
-    return _project(space.vectors, a, e1, e2), tri2d
+    x, y = np.empty((2, space.n_words))
+    for rows, shifted in _shifted_blocks(space.vectors, a):
+        np.matmul(shifted, e1, out=x[rows])
+        np.matmul(shifted, e2, out=y[rows])
+    return np.column_stack((x, y)), tri2d
 
 
 @dataclass(frozen=True, eq=False)

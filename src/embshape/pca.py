@@ -10,10 +10,11 @@ convention, and eigenvalues are clamped at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .embeddings import _MATRIX_BLOCK_ROWS, EmbeddingSpace
+from .embeddings import _MATRIX_BLOCK_ROWS, EmbeddingSpace, _row_blocks
 
 
 @dataclass(eq=False)
@@ -40,11 +41,30 @@ def _covariance(vectors: np.ndarray, mean: np.ndarray) -> np.ndarray:
     order so results do not depend on how the work is scheduled."""
     n, d = vectors.shape
     cov = np.zeros((d, d))
-    for start in range(0, n, _MATRIX_BLOCK_ROWS):
-        block = vectors[start : start + _MATRIX_BLOCK_ROWS] - mean
+    blocks = [
+        slice(start, min(start + _MATRIX_BLOCK_ROWS, n))
+        for start in range(0, n, _MATRIX_BLOCK_ROWS)
+    ]
+    for _, block in _shifted_blocks(vectors, mean, blocks):
         cov += block.T @ block
     cov /= n
     return (cov + cov.T) / 2.0
+
+
+def _shifted_blocks(
+    vectors: np.ndarray, origin: np.ndarray, blocks: list[slice] | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``vectors - origin`` block by block: each row slice of ``blocks``
+    (by default ``_row_blocks``) with its rows less ``origin``, written
+    into one buffer that the next block reuses, so a pass holds no N x D
+    temporary and allocates no block."""
+    if blocks is None:
+        blocks = _row_blocks(len(vectors))
+    buffer = np.empty((max(s.stop - s.start for s in blocks), vectors.shape[1]))
+    for rows in blocks:
+        shifted = buffer[: rows.stop - rows.start]
+        np.subtract(vectors[rows], origin, out=shifted)
+        yield rows, shifted
 
 
 def centered_product(
@@ -53,14 +73,13 @@ def centered_product(
     """``directions @ (vectors - mean).T``: row i holds the products of
     every centered cloud point with direction i.
 
-    Built over the same fixed row blocks as the covariance, so the centered
-    cloud is never held whole and the bits do not depend on the thread
-    count.
+    Each GEMM takes one block of ``_row_blocks`` and writes straight into
+    its columns of the result. No block is short enough for BLAS to round
+    it otherwise than the whole product.
     """
     out = np.empty((directions.shape[0], vectors.shape[0]))
-    for start in range(0, vectors.shape[0], _MATRIX_BLOCK_ROWS):
-        block = vectors[start : start + _MATRIX_BLOCK_ROWS] - mean
-        out[:, start : start + _MATRIX_BLOCK_ROWS] = directions @ block.T
+    for rows, shifted in _shifted_blocks(vectors, mean):
+        np.matmul(directions, shifted.T, out=out[:, rows])
     return out
 
 

@@ -326,20 +326,34 @@ def _flags(mask: np.ndarray) -> list[str]:
     return ["true" if inside else "false" for inside in mask.tolist()]
 
 
+# The header of a projection CSV, and the characters that make the csv
+# module's minimal quoting quote a field.
+_CSV_HEADER = ("token", "x", "y", "inside_triangle", "inside_incircle")
+_CSV_QUOTED = ',"\r\n'
+
+
 def _projection_csv(space, coords, in_tri, in_circ) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["token", "x", "y", "inside_triangle", "inside_incircle"])
-    writer.writerows(
-        zip(
-            space.words,
-            map(repr, coords[:, 0].tolist()),
-            map(repr, coords[:, 1].tolist()),
-            _flags(in_tri),
-            _flags(in_circ),
-        )
+    """One CSV row per word, as ``csv.writer`` writes them. Tokens are
+    checked in one scan of their join: when none holds a character the
+    writer may quote, the usual case, the rows are joined directly;
+    otherwise the writer writes them, so every quoting rule stays the csv
+    module's (Python 3.11's leaves a CR bare, for one)."""
+    rows = zip(
+        space.words,
+        map(repr, coords[:, 0].tolist()),
+        map(repr, coords[:, 1].tolist()),
+        _flags(in_tri),
+        _flags(in_circ),
     )
-    return buf.getvalue().encode("utf-8")
+    joined = "".join(space.words)
+    if any(ch in joined for ch in _CSV_QUOTED):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_CSV_HEADER)
+        writer.writerows(rows)
+        return buf.getvalue().encode("utf-8")
+    lines = [",".join(_CSV_HEADER), *map(",".join, rows), ""]
+    return "\n".join(lines).encode("utf-8")
 
 
 def _xml_escape(text: str) -> str:

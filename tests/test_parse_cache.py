@@ -489,3 +489,65 @@ def test_timings_count_the_hit_and_no_parse_blocks(tmp_path, cache, cloud_text):
     assert (parses[0]["cache_hits"], parses[1]["cache_hits"]) == (0, 1)
     assert parses[0]["blocks"] > 0
     assert (parses[1]["blocks"], parses[1]["row_fallbacks"]) == (0, 0)
+
+
+@pytest.fixture
+def segment(monkeypatch):
+    """Segments of 64 bytes, so a small file has many; their size."""
+    monkeypatch.setattr(embeddings, "_SEGMENT", 64)
+    return 64
+
+
+def read_meta(cache):
+    (entry,) = entries(cache)
+    with np.load(entry, allow_pickle=False) as npz:
+        return json.loads(npz["meta"].tobytes())
+
+
+@pytest.mark.parametrize("pad", ["none", "to_a_whole_segment"])
+def test_an_unchanged_file_of_many_segments_is_a_hit(tmp_path, cache, segment, pad):
+    text = glove(30)
+    if pad == "to_a_whole_segment":
+        text += "\n" * (-len(text) % segment)  # blank lines parse to nothing
+    path = tmp_path / "e.txt"
+    path.write_text(text)
+    first, _ = load(path)
+    meta = read_meta(cache)
+    assert (len(text) % segment == 0) == (pad != "none")
+    assert len(meta["segments"]) == -(-len(text) // segment) > 2
+    second, hit = load(path)
+    assert hit == 1 and same_space(first, second)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_same_size_edit_in_any_segment_is_a_miss(tmp_path, cache, segment, where):
+    text = glove(30)
+    path = tmp_path / "e.txt"
+    path.write_text(text)
+    load(path)
+    count = len(read_meta(cache)["segments"])
+    index = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+    at = next(  # the first digit of the segment's bytes, made another digit
+        i for i in range(index * segment, len(text)) if text[i] in "123456789"
+    )
+    assert at // segment == index
+    new = text[:at] + str(int(text[at]) % 9 + 1) + text[at + 1 :]
+    path.write_text(new)
+    space, hit = load(path)
+    assert hit == 0 and same_space(space, embeddings.parse_embeddings(new.encode()))
+
+
+@pytest.mark.parametrize("cut", ["inside_a_segment", "at_a_segment_end"])
+def test_a_source_cut_short_of_a_segment_is_a_miss(tmp_path, cache, segment, cut):
+    text = glove(60)
+    path = tmp_path / "e.txt"
+    path.write_text(text)
+    load(path, max_words=30)
+    meta = read_meta(cache)
+    assert not meta["eof"] and meta["length"] == len(text)  # the size tells nothing
+    end = len(text) - len(text) % segment - segment
+    short = text[: end + (segment // 2 if cut == "inside_a_segment" else 0)]
+    path.write_text(short)
+    space, hit = load(path, max_words=30)
+    assert hit == 0
+    assert same_space(space, embeddings.parse_embeddings(short.encode(), max_words=30))

@@ -211,6 +211,26 @@ class TestProjectionRowsMatchThePerRowFormulas:
         assert b'"a,b",-0.0,5e-324,true,false\n' in payload
         assert b'"q""q",1e+300,-0.0,false,false\n' in payload
 
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["plain", "x'yé", "tab\there", " spaced ", "", "<&>"],
+            ["cr\rinside", "plain", "x", "y", "z", "w"],
+            ["lf\ninside", "plain", "x", "y", "z", "w"],
+        ],
+    )
+    def test_csv_is_the_csv_writers_with_or_without_quoting(self, odd, words):
+        _, coords, in_tri, in_circ = odd
+        space = EmbeddingSpace(words=words, vectors=coords)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["token", "x", "y", "inside_triangle", "inside_incircle"])
+        for i, word in enumerate(words):
+            flags = ["true" if mask[i] else "false" for mask in (in_tri, in_circ)]
+            writer.writerow([word, repr(float(coords[i, 0])), repr(float(coords[i, 1])), *flags])
+        payload = report_module._projection_csv(space, coords, in_tri, in_circ)
+        assert payload == buf.getvalue().encode("utf-8")
+
     def test_svg(self, odd):
         space, coords, in_tri, _ = odd
         tri2d = coords[:3]

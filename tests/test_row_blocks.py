@@ -1,0 +1,207 @@
+"""The row-blocked kernels give the bits of the expressions they replace:
+glue's one pass over the cloud for all its queries, the centered products,
+the direct projection and the covariance's reused block buffer.
+
+A BLAS may round a row by how it splits the work, so the comparisons run
+in child processes, under one BLAS thread and under one per CPU; run as a
+script, this file makes them in its own process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from embshape import (
+    EmbeddingSpace,
+    ExtractionParams,
+    describe_vertex,
+    find_candidates,
+    fit_pca,
+    glue_candidates,
+    topk_neighbors,
+    write_glove_text,
+)
+from embshape import extractor
+from embshape.cli import main
+from embshape.embeddings import _CACHE_BLOCK_ROWS, _row_blocks
+from embshape.errors import DegenerateTriangleError
+from embshape.extractor import Vertex
+from embshape.geometry import _plane_basis, _project, project_triple
+from embshape.pca import _covariance, centered_product
+
+BLOCK = _CACHE_BLOCK_ROWS
+ROWS = (1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5)
+DIMS = (1, 7, 50)
+
+
+def cloud(n: int, d: int) -> np.ndarray:
+    """An n x d cloud whose row 1 is zero and, from 4 rows on, whose last
+    row and middle row repeat row 0."""
+    vectors = np.random.default_rng([n, d]).standard_normal((n, d))
+    if n >= 3:
+        vectors[1] = 0.0
+    if n >= 4:
+        vectors[n - 1] = vectors[n // 2] = vectors[0]
+    return vectors
+
+
+def old_centered_product(vectors, mean, directions):
+    """``centered_product`` as it was: a fresh centered block of 8192 rows
+    before each GEMM, copied into the result."""
+    out = np.empty((directions.shape[0], vectors.shape[0]))
+    for start in range(0, vectors.shape[0], 8192):
+        block = vectors[start : start + 8192] - mean
+        out[:, start : start + 8192] = directions @ block.T
+    return out
+
+
+def old_covariance(vectors, mean):
+    """``_covariance`` as it was: a fresh centered block of 8192 rows each."""
+    cov = np.zeros((vectors.shape[1],) * 2)
+    for start in range(0, len(vectors), 8192):
+        block = vectors[start : start + 8192] - mean
+        cov += block.T @ block
+    cov /= len(vectors)
+    return (cov + cov.T) / 2.0
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def blocked_kernel_mismatches() -> list:
+    """The (kernel, N, D) of every blocked kernel whose bits differ from
+    its whole-matrix expression."""
+    bad = []
+    for n in ROWS:
+        for d in DIMS:
+            vectors = cloud(n, d)
+            space = EmbeddingSpace(["w%d" % i for i in range(n)], vectors)
+            vectors = space.vectors
+            queries = [vectors[i] for i in sorted({0, 1 % n, n // 2, n - 1})]
+            products = extractor._query_products(vectors, queries)
+            if not all(same_bits(p, vectors @ q) for p, q in zip(products, queries)):
+                bad.append(("glue", n, d))
+
+            mean = space.mean
+            pool = vectors[: min(n, 4)] - mean
+            axes = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0].T
+            for directions in (pool, axes):
+                new = centered_product(vectors, mean, directions)
+                if not same_bits(new, old_centered_product(vectors, mean, directions)):
+                    bad.append(("centered_product", n, d))
+
+            if n >= 2:
+                cov = _covariance(vectors, mean)
+                if not same_bits(cov, old_covariance(vectors, mean)):
+                    bad.append(("_covariance", n, d))
+
+            corners = (0, 1, 2) if n >= 3 else (0, 0, 0)
+            a, b, c = (vectors[i] for i in corners)
+            try:
+                e1, e2, _ = _plane_basis(a, b, c)
+            except DegenerateTriangleError:
+                try:
+                    project_triple(space, *corners)
+                except DegenerateTriangleError:
+                    continue
+                bad.append(("project_triple raises no error", n, d))
+                continue
+            coords, _ = project_triple(space, *corners)
+            if not same_bits(coords, _project(vectors, a, e1, e2)):
+                bad.append(("project_triple", n, d))
+    for d in DIMS:  # more than one covariance block
+        vectors = cloud(2 * 8192 + 5, d)
+        mean = vectors.mean(axis=0)
+        if not same_bits(_covariance(vectors, mean), old_covariance(vectors, mean)):
+            bad.append(("_covariance", len(vectors), d))
+    return bad
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+@pytest.mark.parametrize("threads", sorted({1, _cpus()}))
+def test_blocked_kernels_have_the_whole_matrix_bits(threads):
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    child = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == []
+
+
+def test_no_block_is_short_and_the_blocks_cover_the_rows_in_order():
+    for n in (*ROWS, 5 * BLOCK, 5 * BLOCK + BLOCK // 4, 5 * BLOCK + BLOCK // 4 - 1):
+        blocks = _row_blocks(n)
+        assert [r for s in blocks for r in range(s.start, s.stop)] == list(range(n))
+        sizes = [s.stop - s.start for s in blocks]
+        assert max(sizes) <= BLOCK
+        assert min(sizes) >= min(n, BLOCK // 4)
+        assert all(s.start % (BLOCK // 4) == 0 for s in blocks)
+
+
+def _small_space():
+    vectors = cloud(40, 6)
+    return EmbeddingSpace(["w%d" % i for i in range(40)], vectors)
+
+
+def test_a_query_of_the_glue_pass_reads_its_products_and_no_other_does():
+    space = _small_space()
+    query = space.vectors[3]
+    held = np.zeros(space.n_words)  # ranks every word alike, unlike the real products
+    token = extractor._glue_pass.set((space, {id(query): (query, held)}))
+    try:
+        assert extractor._cloud_products(space, query) is held
+        # an equal array that is not the pass's query, and another space
+        copy = space.vectors[3]
+        assert same_bits(extractor._cloud_products(space, copy), space.vectors @ copy)
+        other = EmbeddingSpace(list(space.words), space.vectors.copy())
+        assert same_bits(extractor._cloud_products(other, query), other.vectors @ query)
+        # describe_vertex's fallback query is another array, so it is fresh
+        vertex = Vertex(3, members=(), neighbor_set=(3,), neighbor_sims=(1.0,))
+        described = describe_vertex(space, vertex, k_desc=5)
+    finally:
+        extractor._glue_pass.reset(token)
+    fresh = topk_neighbors(space, space.vectors[3], 5)
+    assert described == [(space.words[i], sim) for i, sim in fresh]
+
+
+def test_the_glue_pass_ends_with_glue():
+    space = _small_space()
+    candidates = find_candidates(space, fit_pca(space, 3), 3)
+    vertices = glue_candidates(space, candidates, ExtractionParams(k=2))
+    assert extractor._glue_pass.get() is None
+    vertex = vertices[0]
+    assert len(vertex.neighbor_sims) == 2
+    fresh = topk_neighbors(space, space.vectors[vertex.representative], 5)
+    assert describe_vertex(space, vertex, k_desc=5) == [
+        (space.words[i], sim) for i, sim in fresh
+    ]
+
+
+def test_timings_count_one_neighbor_query_per_unique_candidate_word(tmp_path, small_cloud):
+    path = tmp_path / "cloud.txt"
+    write_glove_text(small_cloud.space, path)
+    report, timings = tmp_path / "report.json", tmp_path / "timings.json"
+    argv = ["analyze", str(path), "-o", str(report), "--timings", str(timings)]
+    assert main(argv) == 0
+    axes = json.loads(report.read_text())["params"]["axes_used"]
+    space = small_cloud.space
+    candidates = find_candidates(space, fit_pca(space, axes), axes)
+    stages = json.loads(timings.read_text())["stages"]
+    assert stages["glue"]["neighbor_queries"] == len({c.word_index for c in candidates})
+
+
+if __name__ == "__main__":
+    print(json.dumps(blocked_kernel_mismatches()))
