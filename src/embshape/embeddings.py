@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import select
 import stat
@@ -45,9 +46,9 @@ W2V_TEXT = "w2v_text"
 
 DEFAULT_MAX_WORDS = 50_000
 
-# Rows per block of the passes that sum over rows (the row norms here and
-# the covariance in pca): no pass holds an N x D temporary, and threads
-# cannot change how a sum is ordered.
+# Rows per block of the passes over the whole matrix that reduce it (the
+# finite check, the row norms and the covariance): no pass holds an N x D
+# temporary, and threads cannot change how a sum is ordered.
 _MATRIX_BLOCK_ROWS = 8192
 # Rows per block of the passes that take products row by row (glue's
 # queries, centered products, the direct projection): 2048 rows of 300
@@ -74,12 +75,45 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _covariance(vectors: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Population (1/N) covariance, accumulated block by block in a fixed
+    order so results do not depend on how the work is scheduled."""
+    n, d = vectors.shape
+    cov = np.zeros((d, d))
+    blocks = [
+        slice(start, min(start + _MATRIX_BLOCK_ROWS, n))
+        for start in range(0, n, _MATRIX_BLOCK_ROWS)
+    ]
+    for _, block in _shifted_blocks(vectors, mean, blocks):
+        cov += block.T @ block
+    cov /= n
+    return (cov + cov.T) / 2.0
+
+
+def _shifted_blocks(
+    vectors: np.ndarray, origin: np.ndarray, blocks: list[slice] | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``vectors - origin`` block by block: each row slice of ``blocks``
+    (by default ``_row_blocks``) with its rows less ``origin``, written
+    into one buffer that the next block reuses, so a pass holds no N x D
+    temporary and allocates no block."""
+    if blocks is None:
+        blocks = _row_blocks(len(vectors))
+    buffer = np.empty((max(s.stop - s.start for s in blocks), vectors.shape[1]))
+    for rows in blocks:
+        shifted = buffer[: rows.stop - rows.start]
+        np.subtract(vectors[rows], origin, out=shifted)
+        yield rows, shifted
+
+
 @dataclass(eq=False)
 class EmbeddingSpace:
     """A vocabulary in file (frequency) order plus its coordinate matrix.
 
     ``vectors`` is an N x D float64 array; row i belongs to ``words[i]``.
-    The matrix is marked read-only so a space can be shared freely.
+    The matrix is marked read-only so a space can be shared freely, and
+    the arrays derived from it (``mean``, ``row_norms``, ``covariance``)
+    are computed once, on first use, unless a parse-cache hit set them.
     """
 
     words: list[str]
@@ -104,8 +138,9 @@ class EmbeddingSpace:
                 if w in seen:
                     raise ValueError("duplicate token %r" % w)
                 seen.add(w)
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("vectors contain non-finite values")
+        for start in range(0, self.n_words, _MATRIX_BLOCK_ROWS):
+            if not np.isfinite(self.vectors[start : start + _MATRIX_BLOCK_ROWS]).all():
+                raise ValueError("vectors contain non-finite values")
         self.vectors.setflags(write=False)
 
     @cached_property
@@ -125,6 +160,14 @@ class EmbeddingSpace:
         mean = self.vectors.mean(axis=0)
         mean.setflags(write=False)
         return mean
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """The cloud's population covariance (see ``_covariance``),
+        computed on first use, read-only."""
+        cov = _covariance(self.vectors, self.mean)
+        cov.setflags(write=False)
+        return cov
 
     @property
     def n_words(self) -> int:
@@ -638,10 +681,11 @@ def load_embeddings(
     return normalized(space) if normalize else space
 
 
-# The parse cache keeps, per real path and max_words, the words and
-# raw matrix of the last parse of a file, with the length of the bytes that
-# parse read, the SHA-256 of each _SEGMENT bytes of them and whether it read
-# to the end of the file. An entry is served only while those bytes are
+# The parse cache keeps, per real path and max_words, the words, the raw
+# matrix and the arrays derived from it (see _derived_shapes) of the last
+# parse of a file, with the length of the bytes that parse read, the
+# SHA-256 of each _SEGMENT bytes of them and whether it read to the end of
+# the file. An entry is served only while those bytes are
 # unchanged: each segment of its first ``length`` bytes hashes the same
 # and, for a parse that read to the end, the size is the same. The key also
 # holds the parser's identity (see
@@ -657,6 +701,14 @@ _READ_CHUNK = 1 << 20
 _SEGMENT = 32 << 20
 # What a cache entry that cannot be read raises; each is a miss.
 _ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
+
+
+def _derived_shapes(space: EmbeddingSpace) -> dict[str, tuple]:
+    """The float64 arrays derived from the matrix that an entry keeps
+    beside it, by the name of the space's property, with their shapes: a
+    hit sets them on its space, so it computes none of them."""
+    n, d = space.vectors.shape
+    return {"mean": (d,), "row_norms": (n,), "covariance": (d, d)}
 
 
 def _cache_dir() -> Path:
@@ -779,12 +831,13 @@ def _load_file(path: Union[str, Path], max_words: int) -> EmbeddingSpace:
 
 
 def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
-    """The space of ``entry`` when it was written for ``key`` and the
-    source bytes it was parsed from are unchanged, after replaying the
-    parse's duplicate warnings; None in any other case. The segments of the
-    source are hashed on a pool of threads, one per usable CPU and no more
-    than there are segments, while the entry is read: both release the
-    GIL."""
+    """The space of ``entry``, with the derived arrays the entry keeps set
+    on it, when it was written for ``key`` and the source bytes it was
+    parsed from are unchanged, after replaying the parse's duplicate
+    warnings; None in any other case, among them a derived array that is
+    missing or of another dtype or shape. The segments of the source are
+    hashed on a pool of threads, one per usable CPU and no more than there
+    are segments, while the entry is read: both release the GIL."""
     try:
         # np.load leaves a file it opened open when the zip is corrupt
         with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
@@ -801,6 +854,12 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
                 )
                 words = npz["words"].tobytes().decode().split("\n")
                 space = EmbeddingSpace(words=words, vectors=npz["vectors"])
+                for name, shape in _derived_shapes(space).items():
+                    array = npz[name]
+                    if array.dtype != np.float64 or array.shape != shape:
+                        return None
+                    array.setflags(write=False)
+                    setattr(space, name, array)
                 if list(digests) != meta["segments"]:
                     return None
     except _ENTRY_ERRORS:
@@ -823,12 +882,15 @@ def _touch(entry: Path) -> None:
 
 def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
     """Write ``entry`` to a temp file beside it and move it into place,
-    then prune the cache. An entry larger than the whole cache is not
-    written, and an older one of its key is deleted. A cache that cannot be
-    written is left as it is."""
+    then prune the cache. The entry holds the derived arrays, which the
+    space computes here and keeps. An entry larger than the whole cache is
+    not written, nor are its derived arrays computed, and an older one of
+    its key is deleted. A cache that cannot be written is left as it is."""
     words = "\n".join(space.words).encode()
+    derived = _derived_shapes(space)
+    cells = space.vectors.size + sum(math.prod(shape) for shape in derived.values())
     try:
-        if len(words) + space.vectors.nbytes > _CACHE_BYTES:
+        if len(words) + 8 * cells > _CACHE_BYTES:
             entry.unlink(missing_ok=True)
             return
         entry.parent.mkdir(parents=True, exist_ok=True)
@@ -843,6 +905,7 @@ def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
                     meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
                     words=np.frombuffer(words, np.uint8),
                     vectors=space.vectors,
+                    **{name: getattr(space, name) for name in derived},
                 )
             _touch(temp)
             os.replace(temp, entry)

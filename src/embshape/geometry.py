@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, _shifted_blocks
 from .errors import DegenerateTriangleError
-from .pca import _shifted_blocks, centered_product
+from .pca import centered_product
 
 # A point counts as inside the triangle when all barycentric coordinates
 # are >= -BARYCENTRIC_INSIDE_TOL, so boundaries and vertices are inside.

@@ -3,18 +3,20 @@
 The leading eigenvectors of the cloud covariance are the candidate
 directions along which opposite corners of the cloud are expected to sit,
 so the decomposition is kept exact and deterministic: covariance is
-accumulated over fixed-order row blocks, eigenvectors get a fixed sign
-convention, and eigenvalues are clamped at zero.
+accumulated over fixed-order row blocks (``EmbeddingSpace.covariance``,
+which a parse-cache hit serves from its entry), eigenvectors get a fixed
+sign convention, and eigenvalues are clamped at zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .embeddings import _MATRIX_BLOCK_ROWS, EmbeddingSpace, _row_blocks
+# _covariance is the kernel of EmbeddingSpace.covariance, which the cache
+# key covers; it is named here too, beside the fit that decomposes it.
+from .embeddings import EmbeddingSpace, _covariance, _shifted_blocks  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -34,37 +36,6 @@ class PcaModel:
     @property
     def num_axes(self) -> int:
         return self.axes.shape[0]
-
-
-def _covariance(vectors: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Population (1/N) covariance, accumulated block by block in a fixed
-    order so results do not depend on how the work is scheduled."""
-    n, d = vectors.shape
-    cov = np.zeros((d, d))
-    blocks = [
-        slice(start, min(start + _MATRIX_BLOCK_ROWS, n))
-        for start in range(0, n, _MATRIX_BLOCK_ROWS)
-    ]
-    for _, block in _shifted_blocks(vectors, mean, blocks):
-        cov += block.T @ block
-    cov /= n
-    return (cov + cov.T) / 2.0
-
-
-def _shifted_blocks(
-    vectors: np.ndarray, origin: np.ndarray, blocks: list[slice] | None = None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``vectors - origin`` block by block: each row slice of ``blocks``
-    (by default ``_row_blocks``) with its rows less ``origin``, written
-    into one buffer that the next block reuses, so a pass holds no N x D
-    temporary and allocates no block."""
-    if blocks is None:
-        blocks = _row_blocks(len(vectors))
-    buffer = np.empty((max(s.stop - s.start for s in blocks), vectors.shape[1]))
-    for rows in blocks:
-        shifted = buffer[: rows.stop - rows.start]
-        np.subtract(vectors[rows], origin, out=shifted)
-        yield rows, shifted
 
 
 def centered_product(
@@ -96,7 +67,7 @@ def fit_pca(space: EmbeddingSpace, num_axes: int) -> PcaModel:
     if not 1 <= num_axes <= d:
         raise ValueError("num_axes must be in [1, %d], got %d" % (d, num_axes))
 
-    cov = _covariance(space.vectors, space.mean)
+    cov = space.covariance
     evals, evecs = np.linalg.eigh(cov)  # ascending order
     evals = np.maximum(evals[::-1], 0.0)
     evecs = evecs[:, ::-1]
