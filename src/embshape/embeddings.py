@@ -60,13 +60,16 @@ def _row_blocks(n: int) -> list[slice]:
     """Slices of at most ``_CACHE_BLOCK_ROWS`` rows that cover ``n`` rows in
     order, each starting at a multiple of a quarter block.
 
-    A product taken block by block has the bits of the whole-matrix product
-    only while no block is short: BLAS takes other kernels for a few rows (a
-    mat-vec of one row, a GEMM of some hundred). So a last block of fewer
-    than a quarter block takes a quarter block from the one before it.
-    Blocks of whole quarter blocks also split evenly between BLAS threads,
-    so with OpenBLAS a blocked mat-vec rounds every row as a one-thread
-    whole mat-vec does, at any thread count.
+    The rule serves the mat-vec passes (glue's queries, ``project_triple``)
+    and is the default of ``_shifted_blocks``. A product taken block by
+    block has the bits of the whole-matrix product only while no block is
+    short: BLAS takes another kernel for a mat-vec of a few rows. So a last
+    block of fewer than a quarter block takes a quarter block from the one
+    before it. Blocks of whole quarter blocks also split evenly between
+    BLAS threads, so with OpenBLAS a blocked mat-vec rounds every row as a
+    one-thread whole mat-vec does, at any thread count. (The centered
+    products pad their last block to a full one instead; see
+    ``pca.centered_product``.)
     """
     size = _CACHE_BLOCK_ROWS
     starts = list(range(0, n, size))

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _covariance is the kernel of EmbeddingSpace.covariance, which the cache
-# key covers; it is named here too, beside the fit that decomposes it.
-from .embeddings import EmbeddingSpace, _covariance, _shifted_blocks  # noqa: F401
+from .embeddings import _CACHE_BLOCK_ROWS, EmbeddingSpace
 
 
 @dataclass(eq=False)
@@ -44,14 +42,27 @@ def centered_product(
     """``directions @ (vectors - mean).T``: row i holds the products of
     every centered cloud point with direction i.
 
-    Each GEMM takes one block of ``_row_blocks`` and writes straight into
-    its columns of the result. No block is short enough for BLAS to round
-    it otherwise than the whole product.
+    Every block is one GEMM of ``_CACHE_BLOCK_ROWS`` columns: the rows of
+    the cloud less the mean go into one reused block buffer, the last
+    block's rows fill its head and zeros its tail, and the result keeps
+    only the real columns. BLAS splits and rounds a GEMM of full width
+    alike under every thread count, and each direction's row alike beside
+    any other directions, so the bits depend on neither the BLAS threads
+    nor the number of directions: the products with two or more of the
+    directions are the matching rows of the products with all of them.
+    (numpy takes a mat-vec for one direction, which is thread-invariant
+    too but may round otherwise.)
     """
-    out = np.empty((directions.shape[0], vectors.shape[0]))
-    for rows, shifted in _shifted_blocks(vectors, mean):
-        np.matmul(directions, shifted.T, out=out[:, rows])
-    return out
+    n, d = vectors.shape
+    size = _CACHE_BLOCK_ROWS
+    out = np.empty((directions.shape[0], -(-n // size) * size))
+    shifted = np.empty((size, d))
+    for start in range(0, n, size):
+        rows = vectors[start : start + size]
+        np.subtract(rows, mean, out=shifted[: len(rows)])
+        shifted[len(rows) :] = 0.0
+        np.matmul(directions, shifted.T, out=out[:, start : start + size])
+    return out[:, :n]
 
 
 def fit_pca(space: EmbeddingSpace, num_axes: int) -> PcaModel:

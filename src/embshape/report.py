@@ -100,10 +100,8 @@ def sample_triple_stats(
 
     Degenerate triples are redrawn, up to 10 x num_samples attempts; fewer
     than 3 vertices give no triples. All triples are drawn first and then
-    counted at once through ``product``, a ``PoolProduct`` over exactly
-    ``vertex_indices``; one is built when none is given. (A product over
-    a larger pool holds the same rows, but for a short block of the cloud
-    BLAS may round them differently.)
+    counted at once through ``product``, a ``PoolProduct`` that holds
+    every vertex; one is built over them when none is given.
     """
     if product is None:
         product = PoolProduct(space, vertex_indices)
@@ -202,13 +200,8 @@ def analyze_space(
 
     reps = [v.representative for v in survivors]
     with timer.stage("triples"):
-        # with no vertex rejected the filter's product is over the same pool
         triple_sample = sample_triple_stats(
-            space,
-            reps,
-            config.triple_samples,
-            config.seed,
-            product=None if rejected else product,
+            space, reps, config.triple_samples, config.seed, product=product
         )
     if len(survivors) < 3:
         warnings.append("fewer than 3 surviving vertices; no triples sampled")

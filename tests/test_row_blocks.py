@@ -1,12 +1,17 @@
 """The row-blocked kernels give the bits of the expressions they replace:
-glue's one pass over the cloud for all its queries, the centered products,
-the direct projection and the covariance's reused block buffer.
+glue's one pass over the cloud for all its queries, the centered products'
+full-width blocks, the direct projection and the covariance's reused block
+buffer. The centered products also have the same bits under every BLAS
+thread count, and the products with a sub-pool of directions are the
+whole pool's rows.
 
 A BLAS may round a row by how it splits the work, so the comparisons run
 in child processes, under one BLAS thread and under one per CPU; run as a
 script, this file makes them in its own process.
 """
 
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -27,11 +32,11 @@ from embshape import (
 )
 from embshape import extractor
 from embshape.cli import main
-from embshape.embeddings import _CACHE_BLOCK_ROWS, _row_blocks
+from embshape.embeddings import _CACHE_BLOCK_ROWS, _covariance, _row_blocks
 from embshape.errors import DegenerateTriangleError
 from embshape.extractor import Vertex
 from embshape.geometry import _plane_basis, _project, project_triple
-from embshape.pca import _covariance, centered_product
+from embshape.pca import centered_product
 
 BLOCK = _CACHE_BLOCK_ROWS
 ROWS = (1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5)
@@ -49,13 +54,17 @@ def cloud(n: int, d: int) -> np.ndarray:
     return vectors
 
 
-def old_centered_product(vectors, mean, directions):
-    """``centered_product`` as it was: a fresh centered block of 8192 rows
-    before each GEMM, copied into the result."""
-    out = np.empty((directions.shape[0], vectors.shape[0]))
-    for start in range(0, vectors.shape[0], 8192):
-        block = vectors[start : start + 8192] - mean
-        out[:, start : start + 8192] = directions @ block.T
+def padded_centered_product(vectors, mean, directions):
+    """``centered_product`` written out: each block of BLOCK rows less the
+    mean, the last one padded with zero rows to BLOCK, in a GEMM of its
+    own, of which the real columns are copied into the result."""
+    n, d = vectors.shape
+    out = np.empty((directions.shape[0], n))
+    for start in range(0, n, BLOCK):
+        rows = vectors[start : start + BLOCK]
+        block = np.zeros((BLOCK, d))
+        block[: len(rows)] = rows - mean
+        out[:, start : start + len(rows)] = (directions @ block.T)[:, : len(rows)]
     return out
 
 
@@ -93,7 +102,7 @@ def blocked_kernel_mismatches() -> list:
             axes = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0].T
             for directions in (pool, axes):
                 new = centered_product(vectors, mean, directions)
-                if not same_bits(new, old_centered_product(vectors, mean, directions)):
+                if not same_bits(new, padded_centered_product(vectors, mean, directions)):
                     bad.append(("centered_product", n, d))
 
             if n >= 2:
@@ -123,22 +132,65 @@ def blocked_kernel_mismatches() -> list:
     return bad
 
 
+# One block and 0 to 693 rows more, so the last block is short at many
+# widths, then clouds of several blocks.
+SWEEP_ROWS = (*(BLOCK + 7 * r for r in range(100)), 2 * BLOCK + 5, 9001, 20000)
+SWEEP_DIMS = (7, 50, 300)
+POOL = 40
+
+
+def centered_product_sweep() -> tuple[dict, list]:
+    """A digest of ``centered_product`` with POOL pool words of each swept
+    cloud, keyed by "N x D", and the (N, D) at which every other pool
+    word's products are not the whole pool's rows."""
+    digests, bad = {}, []
+    for d in SWEEP_DIMS:
+        base = np.random.default_rng(d).standard_normal((max(SWEEP_ROWS), d))
+        for n in SWEEP_ROWS:
+            vectors = base[:n]
+            mean = vectors.mean(axis=0)
+            pool = vectors[np.linspace(0, n - 1, POOL).astype(int)] - mean
+            whole = centered_product(vectors, mean, pool)
+            digests["%d x %d" % (n, d)] = hashlib.sha256(whole.tobytes()).hexdigest()
+            if not same_bits(centered_product(vectors, mean, pool[::2]), whole[::2]):
+                bad.append((n, d))
+    return digests, bad
+
+
 def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count()
 
 
-@pytest.mark.parametrize("threads", sorted({1, _cpus()}))
-def test_blocked_kernels_have_the_whole_matrix_bits(threads):
+THREADS = sorted({1, _cpus()})
+
+
+@functools.cache
+def child(threads: int) -> dict:
+    """What this file prints as a script, run under ``threads`` BLAS threads."""
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
-    child = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True
-    )
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == []
+    run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_blocked_kernels_have_the_whole_matrix_bits(threads):
+    assert child(threads)["mismatches"] == []
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_a_sub_pools_products_are_the_whole_pools_rows(threads):
+    assert child(threads)["pool_mismatches"] == []
+
+
+def test_the_centered_products_do_not_depend_on_the_thread_count():
+    one, *others = (child(threads)["digests"] for threads in THREADS)
+    for digests in others:
+        assert [shape for shape in one if digests[shape] != one[shape]] == []
 
 
 def test_no_block_is_short_and_the_blocks_cover_the_rows_in_order():
@@ -204,4 +256,13 @@ def test_timings_count_one_neighbor_query_per_unique_candidate_word(tmp_path, sm
 
 
 if __name__ == "__main__":
-    print(json.dumps(blocked_kernel_mismatches()))
+    digests, pool_mismatches = centered_product_sweep()
+    print(
+        json.dumps(
+            {
+                "mismatches": blocked_kernel_mismatches(),
+                "digests": digests,
+                "pool_mismatches": pool_mismatches,
+            }
+        )
+    )

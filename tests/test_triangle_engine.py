@@ -162,8 +162,8 @@ class TestSharedProduct:
         # the corners leave 0.23-0.40 of the cloud outside, the centroid 0.78
         rep, built = self._analyze(small_cloud, monkeypatch, triple_samples=30, tau=0.5)
         assert [v["token"] for v in rep.rejected] == [space.words[centroid]]
-        survivors = built[1]
-        assert len(built) == 2 and len(survivors) == len(rep.vertices) < len(built[0])
+        survivors = [space.index[v["token"]] for v in rep.vertices]
+        assert len(built) == 1 and len(survivors) < len(built[0])
         fresh = report.sample_triple_stats(small_cloud.space, survivors, 30, 0)
         assert rep.triple_sample == fresh
 
