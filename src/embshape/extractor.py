@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,10 +29,6 @@ END_MAX = "max"
 # Stream tag for per-vertex RNGs; keeps them disjoint from other seeded
 # streams derived from the same user seed.
 _FILTER_STREAM = 0
-
-# The glue pass running now: its space and, by the id of each query it
-# holds, that query and the cloud's products with it (see glue_candidates).
-_glue_pass: ContextVar[tuple | None] = ContextVar("glue_pass", default=None)
 
 
 @dataclass(frozen=True)
@@ -123,14 +118,19 @@ def find_candidates(
 
 
 def topk_neighbors(
-    space: EmbeddingSpace, query: np.ndarray, k: int
+    space: EmbeddingSpace,
+    query: np.ndarray,
+    k: int,
+    products: np.ndarray | None = None,
 ) -> list[tuple[int, float]]:
     """Exact top-k vocabulary words by cosine similarity to ``query``.
 
     Descending similarity, ties broken by lower word index; zero-norm rows
     are defined to have similarity 0 and always rank last. Only the rows
     at or above the k-th similarity are sorted, unless k reaches past the
-    nonzero rows.
+    nonzero rows. ``products`` is ``space.vectors @ query`` bit for bit,
+    when the caller already holds it; it is read, never written. Without
+    it the mat-vec is taken here.
     """
     query = np.asarray(query, dtype=np.float64)
     qnorm = np.linalg.norm(query)
@@ -141,7 +141,9 @@ def topk_neighbors(
     stages.count("neighbor_queries")
     norms = space.row_norms
     zero = norms == 0.0
-    sims = _cloud_products(space, query) / (np.where(zero, 1.0, norms) * qnorm)
+    if products is None:
+        products = space.vectors @ query
+    sims = products / (np.where(zero, 1.0, norms) * qnorm)
     sims[zero] = 0.0
     nonzero = np.flatnonzero(~zero)
     if k >= len(nonzero):
@@ -154,17 +156,6 @@ def topk_neighbors(
         rows = nonzero[~(neg > kth)]
         top = rows[np.lexsort((rows, -sims[rows]))][:k]
     return [(int(i), float(sims[i])) for i in top]
-
-
-def _cloud_products(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
-    """``space.vectors @ query``: the glue pass's products when ``query``
-    is one of its queries, else a fresh mat-vec. Both have the same bits."""
-    active = _glue_pass.get()
-    if active is not None and active[0] is space:
-        held = active[1].get(id(query))
-        if held is not None and held[0] is query:
-            return held[1]
-    return space.vectors @ query
 
 
 def _query_products(vectors: np.ndarray, queries: Sequence[np.ndarray]) -> np.ndarray:
@@ -216,23 +207,18 @@ def glue_candidates(
     neighbor index sets reaches the glue threshold; vertices are the
     connected components, ordered by their representative's source axis.
     The products of the cloud with every unique candidate word are taken
-    in one pass (``_query_products``) and held while ``topk_neighbors``
-    ranks each word's neighborhood from them, one call per word.
+    in one pass (``_query_products``); each word's row of them goes to
+    ``topk_neighbors``, one call per word, which ranks its neighborhood.
     """
     if not candidates:
         raise ValueError("no candidates to glue")
     words = list(dict.fromkeys(c.word_index for c in candidates))
     queries = [space.vectors[w] for w in words]
     products = _query_products(space.vectors, queries)
-    token = _glue_pass.set(
-        (space, {id(q): (q, p) for q, p in zip(queries, products)})
-    )
-    try:
-        ranked_by_word = {
-            w: topk_neighbors(space, q, params.k) for w, q in zip(words, queries)
-        }
-    finally:
-        _glue_pass.reset(token)
+    ranked_by_word = {
+        w: topk_neighbors(space, q, params.k, products=row)
+        for w, q, row in zip(words, queries, products)
+    }
     sets = [
         frozenset(i for i, _ in ranked_by_word[c.word_index]) for c in candidates
     ]

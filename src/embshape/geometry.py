@@ -11,7 +11,7 @@ products once, as one N x V matrix of the centered cloud against the V
 pool words; each triangle then costs O(N) rather than a pass over the
 N x D cloud. ``project_triple`` is the direct projection, for a single
 triangle. Both build the frame and the 3 x 2 triangle from the corner
-vectors themselves, so they raise the same ``DegenerateTriangleError``s.
+vectors with ``_frame``, so they raise the same ``DegenerateTriangleError``s.
 
 Whether a triangle is degenerate is thus known before any word is
 projected: samplers draw their triangles with ``PoolProduct.triangle``
@@ -80,22 +80,32 @@ def _project(points: np.ndarray, a: np.ndarray, e1: np.ndarray, e2: np.ndarray):
     return np.column_stack((shifted @ e1, shifted @ e2))
 
 
+def _frame(vectors: np.ndarray, ia: int, ib: int, ic: int):
+    """The frame of rows ``ia``, ``ib``, ``ic`` of ``vectors``: its origin
+    a, its directions e1 and e2, its (|u|, w.e1, |r|) from ``_plane_basis``
+    and the 3 x 2 triangle.
+
+    The triangle is projected from its own 3 x D stack rather than read
+    from the cloud's projected rows: the mat-vec kernels round differently
+    on the two shapes, and the reports are pinned to this arithmetic.
+    """
+    a, b, c = vectors[ia], vectors[ib], vectors[ic]
+    e1, e2, scale = _plane_basis(a, b, c)
+    return a, e1, e2, scale, _project(np.vstack((a, b, c)), a, e1, e2)
+
+
 def project_triple(
     space: EmbeddingSpace, ia: int, ib: int, ic: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project the whole cloud onto the plane through three of its words.
 
     The plane's origin is word ``ia``. Returns the N x 2 coordinates of
-    every word and the 3 x 2 triangle of words ``ia``, ``ib``, ``ic``.
-    The words are shifted and projected in one pass over the blocks of
-    ``_row_blocks``, with the bits of ``_project`` on the whole cloud.
-    The triangle is projected from its own 3 x D stack rather than read
-    from the cloud's rows: the mat-vec kernels round differently on the
-    two shapes, and the reports are pinned to this arithmetic.
+    every word and the 3 x 2 triangle of words ``ia``, ``ib``, ``ic``
+    (see ``_frame``). The words are shifted and projected in one pass over
+    the blocks of ``_row_blocks``, with the bits of ``_project`` on the
+    whole cloud.
     """
-    a, b, c = space.vectors[ia], space.vectors[ib], space.vectors[ic]
-    e1, e2, _ = _plane_basis(a, b, c)
-    tri2d = _project(np.vstack((a, b, c)), a, e1, e2)
+    a, e1, e2, _, tri2d = _frame(space.vectors, ia, ib, ic)
     x, y = np.empty((2, space.n_words))
     for rows, shifted in _shifted_blocks(space.vectors, a):
         np.matmul(shifted, e1, out=x[rows])
@@ -135,13 +145,6 @@ class PoolProduct:
             space.vectors, space.mean, space.vectors[words] - space.mean
         )
 
-    def _frame(self, ia: int, ib: int, ic: int) -> tuple[tuple, np.ndarray]:
-        """The frame's (|u|, w.e1, |r|) and the 3 x 2 triangle, from the
-        corner vectors exactly as in ``project_triple``."""
-        a, b, c = (self.space.vectors[i] for i in (ia, ib, ic))
-        e1, e2, scale = _plane_basis(a, b, c)
-        return scale, _project(np.vstack((a, b, c)), a, e1, e2)
-
     def _coordinates(self, corners, scale, x, y, scratch) -> None:
         """Write every word's frame coordinates into the N-length buffers
         ``x`` and ``y``: x = du / |u| and y = (dw - (w.e1) x) / |r|, where
@@ -160,11 +163,10 @@ class PoolProduct:
     def project(self, ia: int, ib: int, ic: int) -> tuple[np.ndarray, np.ndarray]:
         """``project_triple`` for three pool words, from the products.
 
-        The frame and the triangle come from the corner vectors exactly as
-        in ``project_triple``; the words' coordinates agree with its to
-        rounding.
+        The frame and the triangle are ``project_triple``'s (``_frame``);
+        the words' coordinates agree with its to rounding.
         """
-        scale, tri2d = self._frame(ia, ib, ic)
+        *_, scale, tri2d = _frame(self.space.vectors, ia, ib, ic)
         x, y, scratch = np.empty((3, self.space.n_words))
         self._coordinates((ia, ib, ic), scale, x, y, scratch)
         return np.column_stack((x, y)), tri2d
@@ -177,7 +179,7 @@ class PoolProduct:
         """The triangle of three pool words, for ``count``. It is built
         from the corner vectors alone, and raises ``DegenerateTriangleError``
         where ``project`` or ``containment`` would."""
-        scale, tri2d = self._frame(ia, ib, ic)
+        *_, scale, tri2d = _frame(self.space.vectors, ia, ib, ic)
         return PoolTriangle((ia, ib, ic), scale, tri2d, _check_nondegenerate(tri2d))
 
     def count(self, triangles: Sequence[PoolTriangle], incircle: bool = False) -> np.ndarray:

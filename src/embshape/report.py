@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -349,9 +350,16 @@ def _projection_csv(space, coords, in_tri, in_circ) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
+# The characters XML 1.0 allows in no document, not even as references.
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _xml_escape(text: str) -> str:
+    """``text`` as XML character data: every character XML 1.0 forbids
+    becomes U+FFFD, and the markup characters are escaped."""
     return (
-        text.replace("&", "&amp;")
+        _XML_FORBIDDEN.sub("\ufffd", text)
+        .replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")

@@ -53,8 +53,10 @@ def reference_containment(coords, tri2d):
 
 
 # topk_neighbors as it was before the partial sort: the same mat-vec, then
-# one lexsort of all N words. Kept unchanged as the reference.
-def reference_topk_neighbors(space, query, k):
+# one lexsort of all N words. Kept as the reference. It takes ``products``
+# only to stand in for glue's call and ignores it: its own mat-vec checks
+# the products glue hands over.
+def reference_topk_neighbors(space, query, k, products=None):
     query = np.asarray(query, dtype=np.float64)
     qnorm = np.linalg.norm(query)
     norms = space.row_norms
@@ -76,10 +78,11 @@ class TestTopkAgainstFullSort:
     """The partial sort returns the full lexsort's prefix, bit for bit."""
 
     def _assert_every_k_matches(self, space, query):
+        held = space.vectors @ query
         for k in range(1, space.n_words + 1):
-            assert _bits(topk_neighbors(space, query, k)) == _bits(
-                reference_topk_neighbors(space, query, k)
-            ), k
+            reference = _bits(reference_topk_neighbors(space, query, k))
+            assert _bits(topk_neighbors(space, query, k)) == reference, k
+            assert _bits(topk_neighbors(space, query, k, products=held)) == reference, k
 
     def test_duplicates_zero_rows_and_negative_similarities(self):
         rng = np.random.default_rng(3)

@@ -21,6 +21,7 @@ from embshape import (
     format_glove_text,
     generate_simplex_cloud,
     normalized,
+    parse_embeddings,
     project_triple,
     run_analysis,
     topk_neighbors,
@@ -170,6 +171,14 @@ class TestEmitProjection:
         assert len(root.findall(ns + "polygon")) == 1
         circles = root.findall(ns + "circle")
         assert len(circles) == len(space) + 1  # points plus the incircle
+
+    def test_svg_labels_parse_when_tokens_hold_xml_forbidden_characters(self):
+        text = "a\x01b 0 0\nc\x0bd&e 1 0\nf<g\ufffe 0 1\nplain 0.2 0.2\n"
+        space = parse_embeddings(text.encode("utf-8"))
+        assert space.words[:3] == ["a\x01b", "c\x0bd&e", "f<g\ufffe"]
+        root = ET.fromstring(emit_projection(space, (0, 1, 2), "svg"))
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels == ["a\ufffdb", "c\ufffdd&e", "f<g\ufffd"]
 
     def test_unknown_format_rejected(self, small_cloud):
         with pytest.raises(ValueError):

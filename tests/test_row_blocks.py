@@ -34,7 +34,6 @@ from embshape import extractor
 from embshape.cli import main
 from embshape.embeddings import _CACHE_BLOCK_ROWS, _covariance, _row_blocks
 from embshape.errors import DegenerateTriangleError
-from embshape.extractor import Vertex
 from embshape.geometry import _plane_basis, _project, project_triple
 from embshape.pca import centered_product
 
@@ -208,33 +207,35 @@ def _small_space():
     return EmbeddingSpace(["w%d" % i for i in range(40)], vectors)
 
 
-def test_a_query_of_the_glue_pass_reads_its_products_and_no_other_does():
-    space = _small_space()
-    query = space.vectors[3]
-    held = np.zeros(space.n_words)  # ranks every word alike, unlike the real products
-    token = extractor._glue_pass.set((space, {id(query): (query, held)}))
-    try:
-        assert extractor._cloud_products(space, query) is held
-        # an equal array that is not the pass's query, and another space
-        copy = space.vectors[3]
-        assert same_bits(extractor._cloud_products(space, copy), space.vectors @ copy)
-        other = EmbeddingSpace(list(space.words), space.vectors.copy())
-        assert same_bits(extractor._cloud_products(other, query), other.vectors @ query)
-        # describe_vertex's fallback query is another array, so it is fresh
-        vertex = Vertex(3, members=(), neighbor_set=(3,), neighbor_sims=(1.0,))
-        described = describe_vertex(space, vertex, k_desc=5)
-    finally:
-        extractor._glue_pass.reset(token)
-    fresh = topk_neighbors(space, space.vectors[3], 5)
-    assert described == [(space.words[i], sim) for i, sim in fresh]
+def test_glue_hands_each_word_its_row_of_one_product_array(monkeypatch):
+    vectors = cloud(BLOCK + 7, 7)
+    space = EmbeddingSpace(["w%d" % i for i in range(len(vectors))], vectors)
+    candidates = find_candidates(space, fit_pca(space, 5), 5)
+    calls = []
+    real = extractor.topk_neighbors
+
+    def recorded(space, query, k, products=None):
+        before = None if products is None else products.copy()
+        ranked = real(space, query, k, products=products)
+        calls.append((query, products, before))
+        return ranked
+
+    monkeypatch.setattr(extractor, "topk_neighbors", recorded)
+    glue_candidates(space, candidates, ExtractionParams(k=4))
+    assert len(calls) == len({c.word_index for c in candidates})
+    held = calls[0][1].base
+    assert held.shape == (len(calls), space.n_words)
+    for j, (query, products, before) in enumerate(calls):
+        assert products.base is held
+        assert products.ctypes.data == held[j].ctypes.data
+        assert same_bits(products, space.vectors @ query)
+        assert same_bits(products, before)  # read, never written
 
 
-def test_the_glue_pass_ends_with_glue():
+def test_describe_queries_afresh_past_the_ranking_glue_stored():
     space = _small_space()
     candidates = find_candidates(space, fit_pca(space, 3), 3)
-    vertices = glue_candidates(space, candidates, ExtractionParams(k=2))
-    assert extractor._glue_pass.get() is None
-    vertex = vertices[0]
+    vertex = glue_candidates(space, candidates, ExtractionParams(k=2))[0]
     assert len(vertex.neighbor_sims) == 2
     fresh = topk_neighbors(space, space.vectors[vertex.representative], 5)
     assert describe_vertex(space, vertex, k_desc=5) == [
