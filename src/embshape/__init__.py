@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .embeddings import (
     EmbeddingSpace,
     detect_format,
-    format_glove_text,
     load_embeddings,
     normalized,
     parse_embeddings,
@@ -50,7 +49,7 @@ from .geometry import (
     project_triple,
     triangle_stats,
 )
-from .pca import PcaModel, fit_pca, informative_axis_count, project_onto_axis
+from .pca import PcaModel, fit_pca, informative_axis_count
 from .report import (
     AnalysisConfig,
     AnalysisReport,
@@ -84,7 +83,6 @@ __all__ = [
     "filter_false_vertices",
     "find_candidates",
     "fit_pca",
-    "format_glove_text",
     "generate_simplex_cloud",
     "glue_candidates",
     "incircle",
@@ -93,7 +91,6 @@ __all__ = [
     "load_embeddings",
     "normalized",
     "parse_embeddings",
-    "project_onto_axis",
     "project_triple",
     "run_analysis",
     "topk_neighbors",

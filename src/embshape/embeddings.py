@@ -979,13 +979,6 @@ def write_glove_text(space: EmbeddingSpace, out: Union[str, Path, TextIO]) -> No
     out.flush()
 
 
-def format_glove_text(space: EmbeddingSpace) -> str:
-    """The GloVe text of a space, as ``write_glove_text`` writes it."""
-    buf = io.StringIO()
-    write_glove_text(space, buf)
-    return buf.getvalue()
-
-
 def normalized(space: EmbeddingSpace) -> EmbeddingSpace:
     """Copy of the space with rows scaled to unit length.
 

@@ -16,6 +16,12 @@ vectors with ``_frame``, so they raise the same ``DegenerateTriangleError``s.
 Whether a triangle is degenerate is thus known before any word is
 projected: samplers draw their triangles with ``PoolProduct.triangle``
 first and then count them all with one ``PoolProduct.count``.
+
+The triangle test is written once, as three kernels on N-length buffers:
+``_weights`` (the barycentric weights), ``_inside_mask`` and
+``_incircle_mask``. ``PoolProduct.count`` runs them on one set of buffers
+for all its triangles; ``barycentric``, ``inside_triangle`` and
+``containment`` run them on fresh ones.
 """
 
 from __future__ import annotations
@@ -160,66 +166,35 @@ class PoolProduct:
         y -= scratch
         y /= nr
 
-    def project(self, ia: int, ib: int, ic: int) -> tuple[np.ndarray, np.ndarray]:
-        """``project_triple`` for three pool words, from the products.
-
-        The frame and the triangle are ``project_triple``'s (``_frame``);
-        the words' coordinates agree with its to rounding.
-        """
-        *_, scale, tri2d = _frame(self.space.vectors, ia, ib, ic)
-        x, y, scratch = np.empty((3, self.space.n_words))
-        self._coordinates((ia, ib, ic), scale, x, y, scratch)
-        return np.column_stack((x, y)), tri2d
-
-    def triangle_stats(self, ia: int, ib: int, ic: int) -> TripleStats:
-        """``triangle_stats`` for three pool words, from the products."""
-        return _stats(*self.project(ia, ib, ic))
-
     def triangle(self, ia: int, ib: int, ic: int) -> PoolTriangle:
         """The triangle of three pool words, for ``count``. It is built
         from the corner vectors alone, and raises ``DegenerateTriangleError``
-        where ``project`` or ``containment`` would."""
+        where ``project_triple`` or ``containment`` would."""
         *_, scale, tri2d = _frame(self.space.vectors, ia, ib, ic)
         return PoolTriangle((ia, ib, ic), scale, tri2d, _check_nondegenerate(tri2d))
 
     def count(self, triangles: Sequence[PoolTriangle], incircle: bool = False) -> np.ndarray:
         """Per triangle, the fraction of the N words inside it and, with
-        ``incircle``, the fraction outside its incircle (NaN without): the
-        fractions of ``triangle_stats``, bit for bit, as a T x 2 array.
+        ``incircle``, the fraction outside its incircle (NaN without), as a
+        T x 2 array: the fractions ``containment`` gives on the words' frame
+        coordinates, bit for bit.
 
-        Without the incircle the inside mask is counted from the
-        expressions of ``_barycentric_weights``, evaluated in the same order
-        into five preallocated N-length buffers; with it the coordinates go
-        to ``containment``.
+        One loop of the containment kernels serves both, on five N-length
+        buffers shared by all the triangles: ``_incircle_mask`` reads the
+        frame coordinates before ``_weights`` shifts them in place.
         """
         n = self.space.n_words
         fractions = np.full((len(triangles), 2), np.nan)
-        x, y, scratch, l1, l2 = np.empty((5, n))
-        inside, other = np.empty((2, n), dtype=bool)
-        floor = -BARYCENTRIC_INSIDE_TOL
+        x, y, l1, l2, l3 = np.empty((5, n))
+        mask, scratch = np.empty((2, n), dtype=bool)
         for row, tri in zip(fractions, triangles):
-            self._coordinates(tri.corners, tri.scale, x, y, scratch)
+            self._coordinates(tri.corners, tri.scale, x, y, l3)
             if incircle:
-                stats = _stats(np.column_stack((x, y)), tri.tri2d)
-                row[:] = stats.inside_triangle_fraction, stats.outside_incircle_fraction
-                continue
-            (x1, y1), (x2, y2), (x3, y3) = tri.tri2d
-            x -= x3  # dx
-            y -= y3  # dy
-            np.multiply(x, y2 - y3, out=l1)
-            np.multiply(y, x3 - x2, out=scratch)
-            l1 += scratch
-            l1 /= tri.det
-            np.multiply(x, y3 - y1, out=l2)
-            np.multiply(y, x1 - x3, out=scratch)
-            l2 += scratch
-            l2 /= tri.det
-            np.subtract(1.0, l1, out=scratch)
-            scratch -= l2  # l3
-            np.greater_equal(l1, floor, out=inside)
-            inside &= np.greater_equal(l2, floor, out=other)
-            inside &= np.greater_equal(scratch, floor, out=other)
-            row[0] = float(np.count_nonzero(inside)) / n
+                _incircle_mask(x, y, tri.tri2d, mask, l1, l2)
+                row[1] = 1.0 - float(np.count_nonzero(mask)) / n
+            _weights(x, y, tri.tri2d, tri.det, l1, l2, l3)
+            _inside_mask(l1, l2, l3, mask, scratch)
+            row[0] = float(np.count_nonzero(mask)) / n
         return fractions
 
 
@@ -238,20 +213,55 @@ def _check_nondegenerate(tri2d: np.ndarray) -> float:
     return det
 
 
-def _barycentric_weights(
-    points: np.ndarray, tri2d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three barycentric weights of a batch of 2-d points, as 1-d
-    arrays (one point of shape (2,) counts as a batch of one)."""
+def _weights(x, y, tri2d, det, l1, l2, l3) -> None:
+    """Write the barycentric weights of the points (x, y) against
+    ``tri2d``, whose signed double area is ``det``, into ``l1``, ``l2`` and
+    ``l3``; ``x`` and ``y`` are shifted to the third corner in place."""
+    (x1, y1), (x2, y2), (x3, y3) = tri2d
+    x -= x3  # dx
+    y -= y3  # dy
+    np.multiply(x, y2 - y3, out=l1)
+    np.multiply(y, x3 - x2, out=l3)
+    l1 += l3
+    l1 /= det
+    np.multiply(x, y3 - y1, out=l2)
+    np.multiply(y, x1 - x3, out=l3)
+    l2 += l3
+    l2 /= det
+    np.subtract(1.0, l1, out=l3)
+    l3 -= l2
+
+
+def _inside_mask(l1, l2, l3, out, scratch) -> None:
+    """Write into the boolean ``out`` whether all three weights are
+    >= -BARYCENTRIC_INSIDE_TOL; ``scratch`` is a second boolean buffer."""
+    floor = -BARYCENTRIC_INSIDE_TOL
+    np.greater_equal(l1, floor, out=out)
+    out &= np.greater_equal(l2, floor, out=scratch)
+    out &= np.greater_equal(l3, floor, out=scratch)
+
+
+def _incircle_mask(x, y, tri2d, out, dx, dy) -> tuple[np.ndarray, float]:
+    """Write into the boolean ``out`` whether each point (x, y) lies in the
+    incircle of ``tri2d``, (x - cx)^2 + (y - cy)^2 <= r * r, with ``dx``
+    and ``dy`` as scratch. Returns the incenter and the inradius."""
+    center, radius = incircle(tri2d)
+    np.square(np.subtract(x, center[0], out=dx), out=dx)
+    np.square(np.subtract(y, center[1], out=dy), out=dy)
+    dx += dy
+    np.less_equal(dx, radius * radius, out=out)
+    return center, radius
+
+
+def _barycentric_weights(points: np.ndarray, tri2d: np.ndarray) -> np.ndarray:
+    """The three barycentric weights of a batch of 2-d points, as the rows
+    of a 3 x n array (one point of shape (2,) counts as a batch of one)."""
     tri2d = np.asarray(tri2d, dtype=np.float64)
     det = _check_nondegenerate(tri2d)
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    (x1, y1), (x2, y2), (x3, y3) = tri2d
-    dx = p[:, 0] - x3
-    dy = p[:, 1] - y3
-    l1 = ((y2 - y3) * dx + (x3 - x2) * dy) / det
-    l2 = ((y3 - y1) * dx + (x1 - x3) * dy) / det
-    return l1, l2, 1.0 - l1 - l2
+    weights = np.empty((3, len(p)))
+    _weights(p[:, 0].copy(), p[:, 1].copy(), tri2d, det, *weights)
+    return weights
 
 
 def barycentric(points: np.ndarray, tri2d: np.ndarray) -> np.ndarray:
@@ -266,9 +276,10 @@ def barycentric(points: np.ndarray, tri2d: np.ndarray) -> np.ndarray:
 
 def inside_triangle(points: np.ndarray, tri2d: np.ndarray) -> np.ndarray:
     """Boolean mask of points inside the triangle (boundary counts)."""
-    l1, l2, l3 = _barycentric_weights(points, tri2d)
-    floor = -BARYCENTRIC_INSIDE_TOL
-    return (l1 >= floor) & (l2 >= floor) & (l3 >= floor)
+    weights = _barycentric_weights(points, tri2d)
+    mask, scratch = np.empty((2, weights.shape[1]), dtype=bool)
+    _inside_mask(*weights, mask, scratch)
+    return mask
 
 
 def incircle(tri2d: np.ndarray) -> tuple[np.ndarray, float]:
@@ -297,9 +308,10 @@ def containment(
     inside-incircle mask; boundaries count as inside for both masks.
     """
     in_tri = inside_triangle(coords, tri2d)
-    center, radius = incircle(tri2d)
-    d2 = (coords[:, 0] - center[0]) ** 2 + (coords[:, 1] - center[1]) ** 2
-    return in_tri, center, radius, d2 <= radius * radius
+    in_circ = np.empty(len(coords), dtype=bool)
+    dx, dy = np.empty((2, len(coords)))
+    center, radius = _incircle_mask(coords[:, 0], coords[:, 1], tri2d, in_circ, dx, dy)
+    return in_tri, center, radius, in_circ
 
 
 def _stats(coords: np.ndarray, tri2d: np.ndarray) -> TripleStats:

@@ -97,17 +97,6 @@ def fit_pca(space: EmbeddingSpace, num_axes: int) -> PcaModel:
     )
 
 
-def project_onto_axis(
-    space: EmbeddingSpace, pca: PcaModel, axis_index: int
-) -> np.ndarray:
-    """Signed projections of the centered cloud onto one principal axis."""
-    if not 0 <= axis_index < pca.num_axes:
-        raise ValueError(
-            "axis_index %d out of range [0, %d)" % (axis_index, pca.num_axes)
-        )
-    return (space.vectors - pca.mean) @ pca.axes[axis_index]
-
-
 def informative_axis_count(pca: PcaModel, num_axes: int | None = None) -> int:
     """Number of leading axes whose eigenvalue exceeds the mean eigenvalue
     (Kaiser-Guttman rule).

@@ -24,7 +24,6 @@ from embshape import (
     EmbeddingFormatError,
     EmbeddingSpace,
     detect_format,
-    format_glove_text,
     load_embeddings,
     normalized,
     parse_embeddings,
@@ -33,6 +32,7 @@ from embshape import (
 from embshape import embeddings
 from embshape.embeddings import BLOCK_ROWS, DEFAULT_MAX_WORDS, W2V_TEXT
 from embshape.stages import StageTimer
+from helpers import format_glove_text
 
 log = logging.getLogger("embshape.embeddings")
 

@@ -16,13 +16,13 @@ from embshape import (
     fit_pca,
     generate_simplex_cloud,
     glue_candidates,
-    project_onto_axis,
     topk_neighbors,
     triangle_stats,
 )
 from embshape import extractor
 from embshape.errors import DegenerateTriangleError
 from embshape.extractor import Vertex, VertexCandidate, glue_by_neighbor_sets
+from helpers import project_onto_axis
 
 
 def _space(vectors):

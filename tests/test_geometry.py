@@ -16,6 +16,7 @@ from embshape import (
     triangle_stats,
 )
 from embshape.geometry import BARYCENTRIC_INSIDE_TOL, PoolProduct, containment
+from helpers import pool_project, pool_triangle_stats
 
 
 def _space(vectors):
@@ -363,7 +364,7 @@ def _assert_engine_matches_direct(product, triple):
     same inside-triangle and inside-incircle counts; its word coordinates
     agree to rounding."""
     coords, tri2d = project_triple(product.space, *triple)
-    mine, mine_tri = product.project(*triple)
+    mine, mine_tri = pool_project(product, *triple)
     assert np.array_equal(mine_tri, tri2d)
     assert np.abs(mine - coords).max() <= 1e-12 * np.abs(coords).max()
     in_tri, _, _, in_circ = containment(coords, tri2d)
@@ -400,7 +401,7 @@ class TestPoolProduct:
         product = PoolProduct(space, [5, 9, 5, 40, 9])
         assert product._products.shape == (3, 300)
         _assert_engine_matches_direct(product, (40, 5, 9))
-        assert product.triangle_stats(40, 5, 9) == triangle_stats(space, 40, 5, 9)
+        assert pool_triangle_stats(product, 40, 5, 9) == triangle_stats(space, 40, 5, 9)
 
     @pytest.mark.parametrize(
         "vectors,match",
@@ -413,4 +414,4 @@ class TestPoolProduct:
     def test_degenerate_triangles_raise_as_in_project_triple(self, vectors, match):
         product = PoolProduct(_space(vectors), [0, 1, 2])
         with pytest.raises(DegenerateTriangleError, match=match):
-            product.project(0, 1, 2)
+            pool_project(product, 0, 1, 2)

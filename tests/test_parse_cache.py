@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from embshape import EmbeddingSpace, format_glove_text, generate_simplex_cloud, normalized
+from embshape import EmbeddingSpace, generate_simplex_cloud, normalized
 from embshape import embeddings
 from embshape.cli import main
 from embshape.stages import StageTimer
+from helpers import format_glove_text
 
 
 @pytest.fixture

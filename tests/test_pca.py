@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from embshape import EmbeddingSpace, fit_pca, informative_axis_count, project_onto_axis
+from embshape import EmbeddingSpace, fit_pca, informative_axis_count
 from embshape.pca import PcaModel
+from helpers import project_onto_axis
 
 
 def _space(vectors):

@@ -1,8 +1,8 @@
 """The fast kernels against the ones they replaced.
 
-The references below are the triangle mask, neighbor ranking and vertex
-description as they were computed before the 1-d barycentric masks, the
-partial top-k sort and the stored glue ranking. The kernels must agree
+The references below are the triangle count, neighbor ranking and vertex
+description as they were computed before the buffered containment kernels,
+the partial top-k sort and the stored glue ranking. The kernels must agree
 with them bit for bit, and so must whole reports built on them.
 """
 
@@ -20,7 +20,7 @@ from embshape import (
     topk_neighbors,
 )
 from embshape import extractor, geometry, report
-from embshape.geometry import BARYCENTRIC_INSIDE_TOL, incircle
+from helpers import reference_containment
 
 
 def _space(vectors):
@@ -35,21 +35,19 @@ def _bits(ranked):
     return [(i, float(s).hex()) for i, s in ranked]
 
 
-def reference_containment(coords, tri2d):
-    """``geometry.containment`` with the stacked N x 3 weights and their
-    row minimum."""
-    tri2d = np.asarray(tri2d, dtype=np.float64)
-    (x1, y1), (x2, y2), (x3, y3) = tri2d
-    det = (x1 - x3) * (y2 - y3) - (x2 - x3) * (y1 - y3)
-    dx = coords[:, 0] - x3
-    dy = coords[:, 1] - y3
-    l1 = ((y2 - y3) * dx + (x3 - x2) * dy) / det
-    l2 = ((y3 - y1) * dx + (x1 - x3) * dy) / det
-    lam = np.column_stack((l1, l2, 1.0 - l1 - l2))
-    in_tri = lam.min(axis=1) >= -BARYCENTRIC_INSIDE_TOL
-    center, radius = incircle(tri2d)
-    d2 = (coords[:, 0] - center[0]) ** 2 + (coords[:, 1] - center[1]) ** 2
-    return in_tri, center, radius, d2 <= radius * radius
+def reference_count(product, triangles, incircle=False):
+    """``PoolProduct.count`` with each triangle's coordinates stacked and
+    handed to ``reference_containment``."""
+    n = product.space.n_words
+    fractions = np.full((len(triangles), 2), np.nan)
+    x, y, scratch = np.empty((3, n))
+    for row, tri in zip(fractions, triangles):
+        product._coordinates(tri.corners, tri.scale, x, y, scratch)
+        in_tri, _, _, in_circ = reference_containment(np.column_stack((x, y)), tri.tri2d)
+        row[0] = float(np.count_nonzero(in_tri)) / n
+        if incircle:
+            row[1] = 1.0 - float(np.count_nonzero(in_circ)) / n
+    return fractions
 
 
 # topk_neighbors as it was before the partial sort: the same mat-vec, then
@@ -136,7 +134,7 @@ class TestReportsWithReferenceKernels:
             return emit_report(rep, "json"), emit_report(rep, "text")
 
         fast = reports()
-        calls = {"containment": 0, "topk": 0, "describe": 0}
+        calls = {"count": 0, "topk": 0, "describe": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -145,9 +143,8 @@ class TestReportsWithReferenceKernels:
 
             return wrapper
 
-        monkeypatch.setattr(
-            geometry, "containment", counted("containment", reference_containment)
-        )
+        # the filter's counts and the triple sample's both go through count
+        monkeypatch.setattr(geometry.PoolProduct, "count", counted("count", reference_count))
         monkeypatch.setattr(
             extractor, "topk_neighbors", counted("topk", reference_topk_neighbors)
         )

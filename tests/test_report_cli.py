@@ -18,7 +18,6 @@ from embshape import (
     analyze_space,
     emit_projection,
     emit_report,
-    format_glove_text,
     generate_simplex_cloud,
     normalized,
     parse_embeddings,
@@ -32,6 +31,7 @@ from embshape import report as report_module
 from embshape.cli import main
 from embshape.report import aggregate_triple_stats, sample_triple_stats
 from embshape.stages import StageTimer
+from helpers import format_glove_text
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """The triangle engine: triangles drawn first, then counted at once by
 ``PoolProduct.count``.
 
-The counts must be those of ``PoolProduct.triangle_stats`` bit for bit, the
+The counts must be those of ``triangle_stats`` on the pool product's
+coordinates, and of an independent containment reference, bit for bit; the
 draws must redraw and fail where the one-by-one sampler did, and the triple
 sample may reuse the filter's product only where that changes no bit.
 """
@@ -21,6 +22,7 @@ from embshape import (
 )
 from embshape import embeddings, extractor, geometry, report
 from embshape.geometry import PoolProduct
+from helpers import pool_project, pool_triangle_stats, reference_containment
 
 SYNTH = dict(dim=50, num_vertices=12, num_points=20_000, alpha=1.5, seed=1)
 
@@ -30,10 +32,15 @@ def _assert_counts_match_triangle_stats(product, triples):
     inside = product.count(triangles)
     both = product.count(triangles, incircle=True)
     for triple, (fraction, blank), pair in zip(triples, inside, both.tolist()):
-        stats = product.triangle_stats(*triple)
+        stats = pool_triangle_stats(product, *triple)
         assert fraction == stats.inside_triangle_fraction
         assert np.isnan(blank)
         assert pair == [stats.inside_triangle_fraction, stats.outside_incircle_fraction]
+        # the same fractions from arithmetic that shares no kernel with count
+        coords, tri2d = pool_project(product, *triple)
+        in_tri, _, _, in_circ = reference_containment(coords, tri2d)
+        n = len(coords)
+        assert pair == [np.count_nonzero(in_tri) / n, 1.0 - np.count_nonzero(in_circ) / n]
 
 
 class TestCount:
@@ -67,7 +74,7 @@ class TestCount:
             vectors=np.array([[0.0, 0.0], [1e-4, 0.0], [1.0, 2e-9]]),
         )
         product = PoolProduct(space, [0, 1, 2])
-        product.project(0, 1, 2)
+        pool_project(product, 0, 1, 2)
         with pytest.raises(DegenerateTriangleError, match="area"):
             triangle_stats(space, 0, 1, 2)
         with pytest.raises(DegenerateTriangleError, match="area"):
