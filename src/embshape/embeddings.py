@@ -50,63 +50,23 @@ DEFAULT_MAX_WORDS = 50_000
 # finite check, the row norms and the covariance): no pass holds an N x D
 # temporary, and threads cannot change how a sum is ordered.
 _MATRIX_BLOCK_ROWS = 8192
-# Rows per block of the passes that take products row by row (glue's
-# queries, centered products, the direct projection): 2048 rows of 300
-# float64 are 4.9 MB, which stay in cache while every product reads them.
-_CACHE_BLOCK_ROWS = 2048
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of at most ``_CACHE_BLOCK_ROWS`` rows that cover ``n`` rows in
-    order, each starting at a multiple of a quarter block.
-
-    The rule serves the mat-vec passes (glue's queries, ``project_triple``)
-    and is the default of ``_shifted_blocks``. A product taken block by
-    block has the bits of the whole-matrix product only while no block is
-    short: BLAS takes another kernel for a mat-vec of a few rows. So a last
-    block of fewer than a quarter block takes a quarter block from the one
-    before it. Blocks of whole quarter blocks also split evenly between
-    BLAS threads, so with OpenBLAS a blocked mat-vec rounds every row as a
-    one-thread whole mat-vec does, at any thread count. (The centered
-    products pad their last block to a full one instead; see
-    ``pca.centered_product``.)
-    """
-    size = _CACHE_BLOCK_ROWS
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] < size // 4:
-        starts[-1] -= size // 4
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _covariance(vectors: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Population (1/N) covariance, accumulated block by block in a fixed
-    order so results do not depend on how the work is scheduled."""
+    order so results do not depend on how the work is scheduled. Each
+    block's rows less the mean go into one buffer that the next block
+    reuses."""
     n, d = vectors.shape
     cov = np.zeros((d, d))
-    blocks = [
-        slice(start, min(start + _MATRIX_BLOCK_ROWS, n))
-        for start in range(0, n, _MATRIX_BLOCK_ROWS)
-    ]
-    for _, block in _shifted_blocks(vectors, mean, blocks):
+    buffer = np.empty((min(n, _MATRIX_BLOCK_ROWS), d))
+    for start in range(0, n, _MATRIX_BLOCK_ROWS):
+        rows = vectors[start : start + _MATRIX_BLOCK_ROWS]
+        block = buffer[: len(rows)]
+        np.subtract(rows, mean, out=block)
         cov += block.T @ block
     cov /= n
     return (cov + cov.T) / 2.0
-
-
-def _shifted_blocks(
-    vectors: np.ndarray, origin: np.ndarray, blocks: list[slice] | None = None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``vectors - origin`` block by block: each row slice of ``blocks``
-    (by default ``_row_blocks``) with its rows less ``origin``, written
-    into one buffer that the next block reuses, so a pass holds no N x D
-    temporary and allocates no block."""
-    if blocks is None:
-        blocks = _row_blocks(len(vectors))
-    buffer = np.empty((max(s.stop - s.start for s in blocks), vectors.shape[1]))
-    for rows in blocks:
-        shifted = buffer[: rows.stop - rows.start]
-        np.subtract(vectors[rows], origin, out=shifted)
-        yield rows, shifted
 
 
 @dataclass(eq=False)

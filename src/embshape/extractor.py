@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _row_blocks
+from .embeddings import EmbeddingSpace
 from .errors import DegenerateSamplingError, DegenerateTriangleError
 from .geometry import PoolProduct, PoolTriangle
-from .pca import PcaModel, centered_product
+from .pca import PcaModel, centered_product, row_products
 from . import stages
 
 log = logging.getLogger(__name__)
@@ -128,9 +128,10 @@ def topk_neighbors(
     Descending similarity, ties broken by lower word index; zero-norm rows
     are defined to have similarity 0 and always rank last. Only the rows
     at or above the k-th similarity are sorted, unless k reaches past the
-    nonzero rows. ``products`` is ``space.vectors @ query`` bit for bit,
-    when the caller already holds it; it is read, never written. Without
-    it the mat-vec is taken here.
+    nonzero rows. The products of the cloud with the query are
+    ``row_products(space.vectors, [query])[0]``: a caller that already
+    holds them passes them, bit for bit, as ``products``, which is read,
+    never written; otherwise they are taken here.
     """
     query = np.asarray(query, dtype=np.float64)
     qnorm = np.linalg.norm(query)
@@ -142,7 +143,7 @@ def topk_neighbors(
     norms = space.row_norms
     zero = norms == 0.0
     if products is None:
-        products = space.vectors @ query
+        (products,) = row_products(space.vectors, [query])
     sims = products / (np.where(zero, 1.0, norms) * qnorm)
     sims[zero] = 0.0
     nonzero = np.flatnonzero(~zero)
@@ -156,19 +157,6 @@ def topk_neighbors(
         rows = nonzero[~(neg > kth)]
         top = rows[np.lexsort((rows, -sims[rows]))][:k]
     return [(int(i), float(sims[i])) for i in top]
-
-
-def _query_products(vectors: np.ndarray, queries: Sequence[np.ndarray]) -> np.ndarray:
-    """The Q x N products of the cloud with Q queries: row j is
-    ``vectors @ queries[j]``, bit for bit. One pass over the row blocks of
-    ``_row_blocks`` reads each block from memory once and takes every
-    query's mat-vec on it while it is in cache."""
-    out = np.empty((len(queries), len(vectors)))
-    for rows in _row_blocks(len(vectors)):
-        block = vectors[rows]
-        for query, products in zip(queries, out):
-            np.matmul(block, query, out=products[rows])
-    return out
 
 
 def _jaccard(a: frozenset, b: frozenset) -> float:
@@ -207,14 +195,14 @@ def glue_candidates(
     neighbor index sets reaches the glue threshold; vertices are the
     connected components, ordered by their representative's source axis.
     The products of the cloud with every unique candidate word are taken
-    in one pass (``_query_products``); each word's row of them goes to
+    in one pass of ``row_products``; each word's row of them goes to
     ``topk_neighbors``, one call per word, which ranks its neighborhood.
     """
     if not candidates:
         raise ValueError("no candidates to glue")
     words = list(dict.fromkeys(c.word_index for c in candidates))
     queries = [space.vectors[w] for w in words]
-    products = _query_products(space.vectors, queries)
+    products = row_products(space.vectors, queries)
     ranked_by_word = {
         w: topk_neighbors(space, q, params.k, products=row)
         for w, q, row in zip(words, queries, products)

@@ -10,7 +10,8 @@ triangles share a pool of corner words, ``PoolProduct`` takes those
 products once, as one N x V matrix of the centered cloud against the V
 pool words; each triangle then costs O(N) rather than a pass over the
 N x D cloud. ``project_triple`` is the direct projection, for a single
-triangle. Both build the frame and the 3 x 2 triangle from the corner
+triangle: the ``pca.row_products`` of the cloud with the frame's two
+directions. Both build the frame and the 3 x 2 triangle from the corner
 vectors with ``_frame``, so they raise the same ``DegenerateTriangleError``s.
 
 Whether a triangle is degenerate is thus known before any word is
@@ -33,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _shifted_blocks
+from .embeddings import EmbeddingSpace
 from .errors import DegenerateTriangleError
-from .pca import centered_product
+from .pca import centered_product, row_products
 
 # A point counts as inside the triangle when all barycentric coordinates
 # are >= -BARYCENTRIC_INSIDE_TOL, so boundaries and vertices are inside.
@@ -81,23 +82,20 @@ def _plane_basis(
     return e1, r / nr, (nu, t, nr)
 
 
-def _project(points: np.ndarray, a: np.ndarray, e1: np.ndarray, e2: np.ndarray):
-    shifted = points - a
-    return np.column_stack((shifted @ e1, shifted @ e2))
-
-
 def _frame(vectors: np.ndarray, ia: int, ib: int, ic: int):
     """The frame of rows ``ia``, ``ib``, ``ic`` of ``vectors``: its origin
     a, its directions e1 and e2, its (|u|, w.e1, |r|) from ``_plane_basis``
     and the 3 x 2 triangle.
 
-    The triangle is projected from its own 3 x D stack rather than read
-    from the cloud's projected rows: the mat-vec kernels round differently
-    on the two shapes, and the reports are pinned to this arithmetic.
+    The triangle is the ``row_products`` of its own 3 x D stack rather
+    than rows read from the cloud's projection: a mat-vec of three rows
+    takes another BLAS kernel than one of a cloud block, and the reports
+    are pinned to this arithmetic.
     """
     a, b, c = vectors[ia], vectors[ib], vectors[ic]
     e1, e2, scale = _plane_basis(a, b, c)
-    return a, e1, e2, scale, _project(np.vstack((a, b, c)), a, e1, e2)
+    tri2d = row_products(np.vstack((a, b, c)), (e1, e2), a).T.copy()
+    return a, e1, e2, scale, tri2d
 
 
 def project_triple(
@@ -106,17 +104,12 @@ def project_triple(
     """Project the whole cloud onto the plane through three of its words.
 
     The plane's origin is word ``ia``. Returns the N x 2 coordinates of
-    every word and the 3 x 2 triangle of words ``ia``, ``ib``, ``ic``
-    (see ``_frame``). The words are shifted and projected in one pass over
-    the blocks of ``_row_blocks``, with the bits of ``_project`` on the
-    whole cloud.
+    every word, the ``row_products`` of the cloud with the plane's two
+    directions, and the 3 x 2 triangle of words ``ia``, ``ib``, ``ic``
+    (see ``_frame``).
     """
     a, e1, e2, _, tri2d = _frame(space.vectors, ia, ib, ic)
-    x, y = np.empty((2, space.n_words))
-    for rows, shifted in _shifted_blocks(space.vectors, a):
-        np.matmul(shifted, e1, out=x[rows])
-        np.matmul(shifted, e2, out=y[rows])
-    return np.column_stack((x, y)), tri2d
+    return row_products(space.vectors, (e1, e2), a).T.copy(), tri2d
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
-"""Principal axes of the embedding cloud.
+"""Principal axes of the embedding cloud, and the products of the cloud
+with directions.
 
 The leading eigenvectors of the cloud covariance are the candidate
 directions along which opposite corners of the cloud are expected to sit,
@@ -6,15 +7,34 @@ so the decomposition is kept exact and deterministic: covariance is
 accumulated over fixed-order row blocks (``EmbeddingSpace.covariance``,
 which a parse-cache hit serves from its entry), eigenvectors get a fixed
 sign convention, and eigenvalues are clamped at zero.
+
+Both product kernels walk the rows in blocks of ``_CACHE_BLOCK_ROWS``,
+each read from memory once and kept in cache while every direction reads
+it. A BLAS rounds a row by the kernel it picks for the block's shape and
+by how it splits the block between threads, so each kernel fixes its
+block shapes. ``centered_product`` takes one GEMM per block and pads the
+last block with zero rows to a full one: BLAS rounds a full-width GEMM
+alike under every thread count and beside any other directions.
+``row_products`` takes one mat-vec per direction and block, on the blocks
+of ``_row_blocks``, which borrow instead: a last block shorter than a
+quarter block, which BLAS would give another kernel, takes a quarter block
+from the one before. Whole quarter blocks split evenly between threads, so
+with OpenBLAS each row has the bits of a one-thread mat-vec of the whole
+matrix. (Padded mat-vec blocks round some rows otherwise.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .embeddings import _CACHE_BLOCK_ROWS, EmbeddingSpace
+from .embeddings import EmbeddingSpace
+
+# 2048 rows of 300 float64 are 4.9 MB, which stay in cache while every
+# product reads them.
+_CACHE_BLOCK_ROWS = 2048
 
 
 @dataclass(eq=False)
@@ -42,16 +62,12 @@ def centered_product(
     """``directions @ (vectors - mean).T``: row i holds the products of
     every centered cloud point with direction i.
 
-    Every block is one GEMM of ``_CACHE_BLOCK_ROWS`` columns: the rows of
-    the cloud less the mean go into one reused block buffer, the last
-    block's rows fill its head and zeros its tail, and the result keeps
-    only the real columns. BLAS splits and rounds a GEMM of full width
-    alike under every thread count, and each direction's row alike beside
-    any other directions, so the bits depend on neither the BLAS threads
-    nor the number of directions: the products with two or more of the
-    directions are the matching rows of the products with all of them.
-    (numpy takes a mat-vec for one direction, which is thread-invariant
-    too but may round otherwise.)
+    Each block of rows less the mean goes into one reused buffer, the last
+    one padded with zero rows, and the result keeps the real columns. The
+    bits depend on neither the BLAS threads nor the other directions: the
+    products with two or more of the directions are the matching rows of
+    the products with all of them. (numpy takes a mat-vec for one
+    direction, which may round otherwise.)
     """
     n, d = vectors.shape
     size = _CACHE_BLOCK_ROWS
@@ -63,6 +79,39 @@ def centered_product(
         shifted[len(rows) :] = 0.0
         np.matmul(directions, shifted.T, out=out[:, start : start + size])
     return out[:, :n]
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most ``_CACHE_BLOCK_ROWS`` rows that cover ``n`` rows in
+    order, each starting at a multiple of a quarter block and none shorter
+    than a quarter block unless ``n`` is."""
+    size = _CACHE_BLOCK_ROWS
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < size // 4:
+        starts[-1] -= size // 4
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def row_products(
+    vectors: np.ndarray,
+    directions: Sequence[np.ndarray],
+    origin: np.ndarray | None = None,
+) -> np.ndarray:
+    """The Q x N products of the cloud with Q directions: row j is
+    ``(vectors - origin) @ directions[j]`` (``vectors @ directions[j]``
+    without an origin) with the bits that mat-vec has under one BLAS
+    thread. Each block's rows less the origin go into one reused buffer.
+    """
+    n, d = vectors.shape
+    out = np.empty((len(directions), n))
+    shifted = None if origin is None else np.empty((min(n, _CACHE_BLOCK_ROWS), d))
+    for rows in _row_blocks(n):
+        block = vectors[rows]
+        if shifted is not None:
+            block = np.subtract(block, origin, out=shifted[: len(block)])
+        for direction, products in zip(directions, out):
+            np.matmul(block, direction, out=products[rows])
+    return out
 
 
 def fit_pca(space: EmbeddingSpace, num_axes: int) -> PcaModel:

@@ -32,6 +32,14 @@ def reference_containment(coords, tri2d):
     return in_tri, center, radius, d2 <= radius * radius
 
 
+def reference_project(points, a, e1, e2):
+    """The N x 2 coordinates of ``points`` in the plane through ``a`` with
+    directions ``e1`` and ``e2``, each a mat-vec of the whole shifted
+    stack."""
+    shifted = points - a
+    return np.column_stack((shifted @ e1, shifted @ e2))
+
+
 def pool_project(product: PoolProduct, ia: int, ib: int, ic: int):
     """``project_triple`` for three pool words, from the products.
 

@@ -1,12 +1,14 @@
 """The row-blocked kernels give the bits of the expressions they replace:
-glue's one pass over the cloud for all its queries, the centered products'
-full-width blocks, the direct projection and the covariance's reused block
-buffer. The centered products also have the same bits under every BLAS
-thread count, and the products with a sub-pool of directions are the
-whole pool's rows.
+``row_products`` (glue's queries and the direct projection) those of
+whole-matrix mat-vecs, and the centered products and the covariance, which
+reuse one block buffer, those of a fresh array per block. The centered
+products, ``row_products`` and the ranking of a fresh ``topk_neighbors``
+query also have the same bits under every BLAS thread count, and the
+products with a sub-pool of directions are the whole pool's rows.
 
 A BLAS may round a row by how it splits the work, so the comparisons run
-in child processes, under one BLAS thread and under one per CPU; run as a
+in child processes, under one BLAS thread and under one per CPU; on a
+single CPU there is nothing to compare across thread counts. Run as a
 script, this file makes them in its own process.
 """
 
@@ -32,10 +34,11 @@ from embshape import (
 )
 from embshape import extractor
 from embshape.cli import main
-from embshape.embeddings import _CACHE_BLOCK_ROWS, _covariance, _row_blocks
+from embshape.embeddings import _covariance
 from embshape.errors import DegenerateTriangleError
-from embshape.geometry import _plane_basis, _project, project_triple
-from embshape.pca import centered_product
+from embshape.geometry import _plane_basis, project_triple
+from embshape.pca import _CACHE_BLOCK_ROWS, _row_blocks, centered_product, row_products
+from helpers import reference_project
 
 BLOCK = _CACHE_BLOCK_ROWS
 ROWS = (1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5)
@@ -92,7 +95,7 @@ def blocked_kernel_mismatches() -> list:
             space = EmbeddingSpace(["w%d" % i for i in range(n)], vectors)
             vectors = space.vectors
             queries = [vectors[i] for i in sorted({0, 1 % n, n // 2, n - 1})]
-            products = extractor._query_products(vectors, queries)
+            products = row_products(vectors, queries)
             if not all(same_bits(p, vectors @ q) for p, q in zip(products, queries)):
                 bad.append(("glue", n, d))
 
@@ -121,7 +124,7 @@ def blocked_kernel_mismatches() -> list:
                 bad.append(("project_triple raises no error", n, d))
                 continue
             coords, _ = project_triple(space, *corners)
-            if not same_bits(coords, _project(vectors, a, e1, e2)):
+            if not same_bits(coords, reference_project(vectors, a, e1, e2)):
                 bad.append(("project_triple", n, d))
     for d in DIMS:  # more than one covariance block
         vectors = cloud(2 * 8192 + 5, d)
@@ -138,21 +141,33 @@ SWEEP_DIMS = (7, 50, 300)
 POOL = 40
 
 
-def centered_product_sweep() -> tuple[dict, list]:
-    """A digest of ``centered_product`` with POOL pool words of each swept
-    cloud, keyed by "N x D", and the (N, D) at which every other pool
-    word's products are not the whole pool's rows."""
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def product_sweep() -> tuple[dict, list]:
+    """Digests of each swept cloud's products, keyed by kernel and "N x D":
+    of ``centered_product`` with POOL pool words, of ``row_products`` with
+    the middle word and of a fresh ``topk_neighbors`` ranking of every word
+    by the middle word; and the (N, D) at which every other pool word's
+    centered products are not the whole pool's rows."""
     digests, bad = {}, []
     for d in SWEEP_DIMS:
         base = np.random.default_rng(d).standard_normal((max(SWEEP_ROWS), d))
+        words = ["w%d" % i for i in range(len(base))]
         for n in SWEEP_ROWS:
-            vectors = base[:n]
-            mean = vectors.mean(axis=0)
+            space = EmbeddingSpace(words[:n], base[:n])
+            vectors, mean, shape = space.vectors, space.mean, "%d x %d" % (n, d)
             pool = vectors[np.linspace(0, n - 1, POOL).astype(int)] - mean
             whole = centered_product(vectors, mean, pool)
-            digests["%d x %d" % (n, d)] = hashlib.sha256(whole.tobytes()).hexdigest()
+            digests["centered_product " + shape] = digest(whole.tobytes())
             if not same_bits(centered_product(vectors, mean, pool[::2]), whole[::2]):
                 bad.append((n, d))
+            query = vectors[n // 2]
+            products = row_products(vectors, [query])
+            digests["row_products " + shape] = digest(products.tobytes())
+            ranking = topk_neighbors(space, query, n)
+            digests["topk_neighbors " + shape] = digest(repr(ranking).encode())
     return digests, bad
 
 
@@ -257,7 +272,7 @@ def test_timings_count_one_neighbor_query_per_unique_candidate_word(tmp_path, sm
 
 
 if __name__ == "__main__":
-    digests, pool_mismatches = centered_product_sweep()
+    digests, pool_mismatches = product_sweep()
     print(
         json.dumps(
             {

@@ -22,7 +22,12 @@ from embshape import (
 )
 from embshape import embeddings, extractor, geometry, report
 from embshape.geometry import PoolProduct
-from helpers import pool_project, pool_triangle_stats, reference_containment
+from helpers import (
+    pool_project,
+    pool_triangle_stats,
+    reference_containment,
+    reference_project,
+)
 
 SYNTH = dict(dim=50, num_vertices=12, num_points=20_000, alpha=1.5, seed=1)
 
@@ -119,7 +124,9 @@ def test_the_frame_and_the_degeneracy_test_keep_their_bits():
         ref_e1, ref_e2, ref_scale = reference_frame(a, b, c)
         assert e1.tobytes() == ref_e1.tobytes() and e2.tobytes() == ref_e2.tobytes()
         assert [float(v).hex() for v in scale] == [float(v).hex() for v in ref_scale]
-        tri2d = geometry._project(np.vstack((a, b, c)), a, e1, e2)
+        stack = np.vstack((a, b, c))
+        tri2d = reference_project(stack, a, e1, e2)
+        assert geometry._frame(stack, 0, 1, 2)[-1].tobytes() == tri2d.tobytes()
         tri2d[2] = tri2d[2] * rng.choice([1.0, 1e-12])  # some flat triangles
         det, scale2 = reference_area_and_scale(tri2d)
         if abs(det) <= geometry._DEGENERACY_REL_TOL * scale2:
