@@ -17,10 +17,10 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 __version__ = "0.1.0"
 
+from .cache import load_embeddings
 from .embeddings import (
     EmbeddingSpace,
     detect_format,
-    load_embeddings,
     normalized,
     parse_embeddings,
     write_glove_text,

@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .embeddings import load_embeddings, write_glove_text
+from .cache import load_embeddings
+from .embeddings import write_glove_text
 from .errors import EmbshapeError
 from .report import (
     AnalysisConfig,

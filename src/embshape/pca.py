@@ -5,8 +5,8 @@ The leading eigenvectors of the cloud covariance are the candidate
 directions along which opposite corners of the cloud are expected to sit,
 so the decomposition is kept exact and deterministic: covariance is
 accumulated over fixed-order row blocks (``EmbeddingSpace.covariance``,
-which a parse-cache hit serves from its entry), eigenvectors get a fixed
-sign convention, and eigenvalues are clamped at zero.
+which a hit of ``embshape.cache`` serves from its entry), eigenvectors get
+a fixed sign convention, and eigenvalues are clamped at zero.
 
 Both product kernels walk the rows in blocks of ``_CACHE_BLOCK_ROWS``,
 each read from memory once and kept in cache while every direction reads

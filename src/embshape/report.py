@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .embeddings import DEFAULT_MAX_WORDS, EmbeddingSpace, load_embeddings
+from .cache import load_embeddings
+from .embeddings import DEFAULT_MAX_WORDS, EmbeddingSpace
 from .extractor import (
     ExtractionParams,
     check_sample_count,

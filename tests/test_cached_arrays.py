@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from embshape import EmbeddingSpace, fit_pca, generate_simplex_cloud, write_glove_text
+from embshape import cache as parse_cache
 from embshape import embeddings
 from embshape.cli import main
 from embshape.stages import StageTimer
@@ -44,7 +45,7 @@ def load(path, **kwargs):
     """The loaded space and whether the load was a cache hit."""
     timer = StageTimer()
     with timer.stage("parse"):
-        space = embeddings.load_embeddings(path, **kwargs)
+        space = parse_cache.load_embeddings(path, **kwargs)
     return space, timer.stages["parse"]["cache_hits"]
 
 
@@ -136,11 +137,11 @@ def test_the_byte_cap_counts_the_derived_arrays(path, cache, monkeypatch, cloud)
     n, d = cloud.space.vectors.shape
     words = len("\n".join(cloud.space.words).encode())
     whole = words + (n * d + n + d * d + d) * 8
-    monkeypatch.setattr(embeddings, "_CACHE_BYTES", whole - 1)
+    monkeypatch.setattr(parse_cache, "_CACHE_BYTES", whole - 1)
     space, _ = load(path)
     assert not cache.exists() or not list(cache.glob("*.npz"))
     assert not any(name in vars(space) for name in DERIVED)  # left to first use
-    monkeypatch.setattr(embeddings, "_CACHE_BYTES", whole)
+    monkeypatch.setattr(parse_cache, "_CACHE_BYTES", whole)
     load(path)
     assert set(read_entry(cache)) == {"meta", "words", "vectors", *DERIVED}
 

@@ -681,7 +681,7 @@ class TestHelperProcess:
     def test_stdin_source(self, helper, monkeypatch):
         data = _cloud_text(30)
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
-        space = embeddings.load_embeddings("-")
+        space = load_embeddings("-")
         assert helper.exists()
         assert space.vectors.tobytes() == _inline(data).vectors.tobytes()
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from embshape import EmbeddingSpace, generate_simplex_cloud, normalized
+from embshape import cache as parse_cache
 from embshape import embeddings
 from embshape.cli import main
 from embshape.stages import StageTimer
@@ -35,7 +36,7 @@ def load(path, **kwargs):
     """The loaded space and whether the load was a cache hit."""
     timer = StageTimer()
     with timer.stage("parse"):
-        space = embeddings.load_embeddings(path, **kwargs)
+        space = parse_cache.load_embeddings(path, **kwargs)
     return space, timer.stages["parse"]["cache_hits"]
 
 
@@ -178,7 +179,7 @@ def test_a_cache_that_cannot_be_written_changes_nothing(tmp_path, cache, monkeyp
     def read_only(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
-    monkeypatch.setattr(embeddings.tempfile, "mkstemp", read_only)
+    monkeypatch.setattr(parse_cache.tempfile, "mkstemp", read_only)
     try:
         space, hit = load(path)
         assert hit == 0 and same_space(space, expected)
@@ -200,7 +201,7 @@ def test_a_hit_whose_use_cannot_be_recorded_is_still_served(tmp_path, cache, mon
     def read_only(_):
         raise PermissionError(1, "Operation not permitted")
 
-    monkeypatch.setattr(embeddings, "_touch", read_only)
+    monkeypatch.setattr(parse_cache, "_touch", read_only)
     space, hit = load(path)
     assert hit == 1 and same_space(space, expected)
     assert entries(cache) == [entry] and entry.stat().st_mtime_ns == used
@@ -214,7 +215,7 @@ def test_an_entry_that_fails_to_land_leaves_no_temp_file(tmp_path, cache, monkey
     def fails(_):  # the last step before the temp file is moved into place
         raise error
 
-    monkeypatch.setattr(embeddings, "_touch", fails)
+    monkeypatch.setattr(parse_cache, "_touch", fails)
     if isinstance(error, OSError):  # a cache that cannot be written is a miss
         space, hit = load(path)
         assert hit == 0 and same_space(space, embeddings.parse_embeddings(path))
@@ -230,9 +231,9 @@ def test_a_killed_writers_temp_file_goes_when_another_entry_is_written(tmp_path,
     # a writer killed inside the write, before its temp is moved into place
     killed = (
         "import os, sys\n"
-        "from embshape import embeddings\n"
-        "embeddings.np.savez = lambda *args, **kwargs: os._exit(0)\n"
-        "embeddings.load_embeddings(sys.argv[1])\n"
+        "from embshape import cache\n"
+        "cache.np.savez = lambda *args, **kwargs: os._exit(0)\n"
+        "cache.load_embeddings(sys.argv[1])\n"
         "os._exit(1)\n"
     )
     child = subprocess.Popen([sys.executable, "-c", killed, str(first)])
@@ -345,7 +346,7 @@ def test_the_entries_kept_fit_in_the_byte_cap(tmp_path, cache, monkeypatch):
         path.write_text(glove(10, seed=i))
     load(paths[0])
     (entry,) = entries(cache)
-    monkeypatch.setattr(embeddings, "_CACHE_BYTES", int(entry.stat().st_size * 2.5))
+    monkeypatch.setattr(parse_cache, "_CACHE_BYTES", int(entry.stat().st_size * 2.5))
     for path in paths[1:]:
         load(path)
     assert len(entries(cache)) == 2  # the two used last
@@ -358,7 +359,7 @@ def test_an_entry_larger_than_the_cache_is_not_written(tmp_path, cache, monkeypa
     path.write_text(glove(10))
     load(path)
     path.write_text(glove(40))
-    monkeypatch.setattr(embeddings, "_CACHE_BYTES", 40 * 4 * 8)
+    monkeypatch.setattr(parse_cache, "_CACHE_BYTES", 40 * 4 * 8)
     first, first_hit = load(path)
     second, second_hit = load(path)
     assert (first_hit, second_hit) == (0, 0)
@@ -370,25 +371,26 @@ def test_an_entry_of_another_parser_is_a_miss(tmp_path, cache, monkeypatch):
     path = tmp_path / "e.txt"
     path.write_text(glove(20))
     load(path)
-    monkeypatch.setattr(embeddings, "_parser_identity", lambda: "another parser")
+    monkeypatch.setattr(parse_cache, "_parser_identity", lambda: "another parser")
     assert [load(path)[1] for _ in range(2)] == [0, 1]
     assert len(entries(cache)) == 2
 
 
-def test_the_parser_identity_follows_the_module_source(tmp_path, monkeypatch):
-    identity = embeddings._parser_identity.__wrapped__
-    copy = tmp_path / "embeddings.py"
-    copy.write_bytes(Path(embeddings.__file__).read_bytes())
-    monkeypatch.setattr(embeddings, "__file__", str(copy))
-    assert identity() == embeddings._parser_identity()
+@pytest.mark.parametrize("module", [embeddings, parse_cache], ids=["parser", "cache"])
+def test_the_parser_identity_follows_the_module_source(tmp_path, monkeypatch, module):
+    identity = parse_cache._parser_identity.__wrapped__
+    copy = tmp_path / Path(module.__file__).name
+    copy.write_bytes(Path(module.__file__).read_bytes())
+    monkeypatch.setattr(module, "__file__", str(copy))
+    assert identity() == parse_cache._parser_identity()
     copy.write_bytes(copy.read_bytes() + b"\n")
-    assert identity() != embeddings._parser_identity()
+    assert identity() != parse_cache._parser_identity()
     copy.unlink()
     assert identity() is None
 
 
 def test_nothing_is_cached_when_the_parser_source_cannot_be_read(tmp_path, cache, monkeypatch):
-    monkeypatch.setattr(embeddings, "_parser_identity", lambda: None)
+    monkeypatch.setattr(parse_cache, "_parser_identity", lambda: None)
     path = tmp_path / "e.txt"
     path.write_text(glove(20))
     assert [load(path)[1] for _ in range(2)] == [0, 0]
@@ -434,6 +436,20 @@ def test_an_entry_parsed_with_warnings_off_replays_them_on_a_hit(tmp_path, cache
         ("WARNING", "line 11: duplicate token 'w3', keeping first occurrence"),
         ("WARNING", "line 22: duplicate token 'w15', keeping first occurrence"),
     ]
+
+
+def test_a_silenced_parser_logger_silences_the_replay_too(tmp_path, cache, caplog):
+    path = tmp_path / "e.txt"
+    path.write_text(duplicated_text())
+    log = logging.getLogger("embshape.embeddings")
+    level = log.level
+    log.setLevel(logging.ERROR)
+    try:
+        with caplog.at_level(logging.WARNING):
+            assert [load(path)[1] for _ in range(2)] == [0, 1]
+    finally:
+        log.setLevel(level)
+    assert caplog.records == []
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +511,7 @@ def test_timings_count_the_hit_and_no_parse_blocks(tmp_path, cache, cloud_text):
 @pytest.fixture
 def segment(monkeypatch):
     """Segments of 64 bytes, so a small file has many; their size."""
-    monkeypatch.setattr(embeddings, "_SEGMENT", 64)
+    monkeypatch.setattr(parse_cache, "_SEGMENT", 64)
     return 64
 
 
