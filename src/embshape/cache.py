@@ -11,6 +11,13 @@ _parser_identity), so an entry of another version of the parser or of this
 module is never served. At most _CACHE_ENTRIES entries of at most
 _CACHE_BYTES together are kept; a parse whose entry alone would be larger
 writes none.
+
+A hit maps its entry rather than reading the matrix out of the zip. The
+entry is still the ``.npz`` of ``np.savez``, with the matrix as a stored
+member whose data a fresh entry starts on a _ALIGN-byte boundary of the
+file, so the served matrix is a read-only view of the map. The CRC-32 that
+zipfile would check is computed on the same pool of threads that hashes
+the source segments, and a space is served only after both match.
 """
 
 from __future__ import annotations
@@ -20,12 +27,15 @@ import io
 import itertools
 import json
 import math
+import mmap
 import os
 import stat
+import struct
 import sys
 import tempfile
 import time
 import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from pathlib import Path
@@ -43,6 +53,7 @@ from .embeddings import (
     normalized,
     parse_embeddings,
 )
+from .parallel import usable_cpus
 
 
 def load_embeddings(
@@ -75,6 +86,18 @@ _READ_CHUNK = 1 << 20
 _SEGMENT = 32 << 20
 # What a cache entry that cannot be read raises; each is a miss.
 _ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
+# The entry's matrix member. A hit serves its data as a view of the mapped
+# entry when it starts on an _ALIGN-byte boundary of the file, as a fresh
+# entry's does, and reads any other into a fresh array: numpy hands BLAS
+# only data aligned for float64, and its own loops round otherwise.
+_MATRIX = "vectors.npy"
+_ALIGN = 64
+# The bytes of a fresh entry before the matrix's .npy header, besides the
+# meta JSON and the meta's .npy header: the zip local headers of meta.npy
+# and of the matrix, each 30 bytes, the name and the 20-byte zip64 extra
+# field numpy forces. Every .npy header is a whole multiple of _ALIGN.
+_LOCAL_HEADER = 30
+_HEADER_BYTES = 2 * (_LOCAL_HEADER + 20) + len("meta.npy") + len(_MATRIX)
 
 
 def _derived_shapes(space: EmbeddingSpace) -> dict[str, tuple]:
@@ -165,13 +188,6 @@ def _segment_digest(path: str, start: int, end: int) -> str | None:
     return sha.hexdigest()
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _load_file(path: Union[str, Path], max_words: int) -> EmbeddingSpace:
     """Serve ``path`` from its cache entry, or parse it and write the entry.
     A path that is not a regular file is parsed as it always was."""
@@ -213,9 +229,15 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
     on it, when it was written for ``key`` and the source bytes it was
     parsed from are unchanged, after replaying the parse's duplicate
     warnings; None in any other case, among them a derived array that is
-    missing or of another dtype or shape. The segments of the source are
-    hashed on a pool of threads, one per usable CPU and no more than there
-    are segments, while the entry is read: both release the GIL."""
+    missing or of another dtype or shape, and a matrix member whose CRC-32
+    is not the one the zip records.
+
+    The entry is mapped. One pool of threads, one per usable CPU and no more
+    than there are tasks, computes the matrix member's CRC-32 first and then
+    hashes the segments of the source, while this thread reads the rest of
+    the entry: all of them release the GIL. A matrix whose data is aligned
+    is served as a view of the map, any other read into a fresh array.
+    """
     try:
         # np.load leaves a file it opened open when the zip is corrupt
         with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
@@ -226,19 +248,36 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
             if len(starts) != len(meta["segments"]):
                 return None
             ends = [*starts[1:], meta["length"]]
-            with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
+            words = npz["words"].tobytes().decode().split("\n")
+            info = npz.zip.getinfo(_MATRIX)
+            located = _locate_matrix(fh, info, len(words))
+            if located is None:
+                return None
+            member, data, shape = located
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            with ThreadPoolExecutor(min(usable_cpus(), len(starts) + 1)) as pool:
+                crc = pool.submit(
+                    zlib.crc32, memoryview(mapped)[member : member + info.file_size]
+                )
                 digests = pool.map(
                     _segment_digest, itertools.repeat(key["source"]), starts, ends
                 )
-                words = npz["words"].tobytes().decode().split("\n")
-                space = EmbeddingSpace(words=words, vectors=npz["vectors"])
+                if data % _ALIGN == 0:
+                    vectors = np.frombuffer(mapped, np.float64, math.prod(shape), data)
+                    vectors = vectors.reshape(shape)
+                else:
+                    vectors = np.empty(shape)
+                    fh.seek(data)
+                    if fh.readinto(memoryview(vectors).cast("B")) != vectors.nbytes:
+                        return None
+                space = EmbeddingSpace(words=words, vectors=vectors)
                 for name, shape in _derived_shapes(space).items():
                     array = npz[name]
                     if array.dtype != np.float64 or array.shape != shape:
                         return None
                     array.setflags(write=False)
                     setattr(space, name, array)
-                if list(digests) != meta["segments"]:
+                if crc.result() != info.CRC or list(digests) != meta["segments"]:
                     return None
     except _ENTRY_ERRORS:
         return None
@@ -249,6 +288,34 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
     for lineno, token in meta["duplicates"]:
         log.warning(_DUPLICATE, lineno, token)
     return space
+
+
+def _locate_matrix(fh, info: zipfile.ZipInfo, rows: int) -> tuple | None:
+    """Where the matrix member ``info`` starts in the entry ``fh``, where
+    its data starts and its shape, when the member is stored uncompressed
+    and holds a C-order float64 array of ``rows`` rows and nothing else;
+    None otherwise."""
+    if info.compress_type != zipfile.ZIP_STORED or info.compress_size != info.file_size:
+        return None
+    fh.seek(info.header_offset)
+    local = fh.read(_LOCAL_HEADER)
+    if len(local) != _LOCAL_HEADER or local[:4] != b"PK\x03\x04":
+        return None
+    member = info.header_offset + _LOCAL_HEADER + sum(struct.unpack("<HH", local[26:]))
+    fh.seek(member)
+    if np.lib.format.read_magic(fh) != (1, 0):
+        return None
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    data = fh.tell()
+    if (
+        fortran_order
+        or dtype != np.float64
+        or len(shape) != 2
+        or shape[0] != rows
+        or info.file_size != data - member + 8 * math.prod(shape)
+    ):
+        return None
+    return member, data, shape
 
 
 def _touch(entry: Path) -> None:
@@ -265,6 +332,10 @@ def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
     not written, nor are its derived arrays computed, and an older one of
     its key is deleted. A cache that cannot be written is left as it is."""
     words = "\n".join(space.words).encode()
+    # the meta is padded with spaces, which JSON ignores, so that the
+    # matrix's data, the member after it, starts on an _ALIGN-byte boundary
+    meta = json.dumps(meta).encode()
+    meta += b" " * (-(_HEADER_BYTES + len(meta)) % _ALIGN)
     derived = _derived_shapes(space)
     cells = space.vectors.size + sum(math.prod(shape) for shape in derived.values())
     try:
@@ -280,9 +351,9 @@ def _write_entry(entry: Path, meta: dict, space: EmbeddingSpace) -> None:
             with open(fd, "wb") as fh:
                 np.savez(
                     fh,
-                    meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
-                    words=np.frombuffer(words, np.uint8),
+                    meta=np.frombuffer(meta, np.uint8),
                     vectors=space.vectors,
+                    words=np.frombuffer(words, np.uint8),
                     **{name: getattr(space, name) for name in derived},
                 )
             _touch(temp)

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import stages
 from .errors import EmbeddingFormatError
+from .parallel import usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -300,7 +301,7 @@ def _helper_count() -> int:
     """Worker processes a parse runs: one where memory files, and so
     ``os.fork``, exist and the process may use two or more CPUs, else none."""
     if hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity"):
-        return min(2, len(os.sched_getaffinity(0))) - 1
+        return min(2, usable_cpus()) - 1
     return 0
 
 

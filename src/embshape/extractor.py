@@ -30,6 +30,9 @@ END_MAX = "max"
 # streams derived from the same user seed.
 _FILTER_STREAM = 0
 
+# The nearest words that describe a vertex in a report.
+DESCRIBED_WORDS = 5
+
 
 @dataclass(frozen=True)
 class VertexCandidate:
@@ -51,9 +54,10 @@ class Vertex:
 
     ``representative`` is the word of the member coming from the lowest
     axis (min end before max end on ties). ``neighbor_set`` is the ranked
-    top-K neighborhood of the representative and ``neighbor_sims`` their
-    cosine similarities, which ``describe_vertex`` reads when it can;
-    ``outside_fraction`` stays NaN until the false-vertex filter has run.
+    neighborhood of the representative that glue stored, its top K words or
+    more, and ``neighbor_sims`` their cosine similarities, which
+    ``describe_vertex`` reads when it can; ``outside_fraction`` stays NaN
+    until the false-vertex filter has run.
     """
 
     representative: int
@@ -197,18 +201,24 @@ def glue_candidates(
     The products of the cloud with every unique candidate word are taken
     in one pass of ``row_products``; each word's row of them goes to
     ``topk_neighbors``, one call per word, which ranks its neighborhood.
+    Each word is ranked to max(K, ``DESCRIBED_WORDS``) words and linked on
+    the first K of them (a top-K ranking is the prefix of any longer one),
+    and each vertex stores its representative's whole ranking, so that
+    ``describe_vertex`` reads its ``DESCRIBED_WORDS`` words without a query.
     """
     if not candidates:
         raise ValueError("no candidates to glue")
     words = list(dict.fromkeys(c.word_index for c in candidates))
     queries = [space.vectors[w] for w in words]
     products = row_products(space.vectors, queries)
+    depth = max(params.k, min(DESCRIBED_WORDS, space.n_words))
     ranked_by_word = {
-        w: topk_neighbors(space, q, params.k, products=row)
+        w: topk_neighbors(space, q, depth, products=row)
         for w, q, row in zip(words, queries, products)
     }
     sets = [
-        frozenset(i for i, _ in ranked_by_word[c.word_index]) for c in candidates
+        frozenset(i for i, _ in ranked_by_word[c.word_index][: params.k])
+        for c in candidates
     ]
 
     vertices: list[Vertex] = []
@@ -334,7 +344,7 @@ def filter_false_vertices(
 
 
 def describe_vertex(
-    space: EmbeddingSpace, vertex: Vertex, k_desc: int = 5
+    space: EmbeddingSpace, vertex: Vertex, k_desc: int = DESCRIBED_WORDS
 ) -> list[tuple[str, float]]:
     """Top words describing a vertex: its nearest neighbors by cosine.
 

@@ -21,6 +21,13 @@ quarter block, which BLAS would give another kernel, takes a quarter block
 from the one before. Whole quarter blocks split evenly between threads, so
 with OpenBLAS each row has the bits of a one-thread mat-vec of the whole
 matrix. (Padded mat-vec blocks round some rows otherwise.)
+
+A large ``row_products`` pass runs its blocks on two threads
+(``parallel.run_halves``). A block larger than one core's cache is read in
+quarter-block pieces (512 rows, 1.2 MB at 300 dims), which stay in it; a
+shorter tail joins the piece before it, so the rows keep the same bits.
+``centered_product`` stays on one thread: its GEMMs already use every BLAS
+thread, and split between two threads they were slower.
 """
 
 from __future__ import annotations
@@ -31,10 +38,22 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingSpace
+from .parallel import run_halves, two_threads
 
 # 2048 rows of 300 float64 are 4.9 MB, which stay in cache while every
 # product reads them.
 _CACHE_BLOCK_ROWS = 2048
+
+# A row_products pass of at least this many cells (N x D x Q) runs on two
+# threads. On 2 vCPUs the split took 0.5-0.9 of the serial time at 2^24
+# cells (2800 x 300 with 20 directions, 28000 x 300 with 2, 20000 x 50
+# with 20) and 0.4-0.6 at 50000 x 300 with 40; below it a split saves a
+# millisecond at most, and the helper thread costs CPU.
+_SPLIT_CELLS = 1 << 24
+# One core's cache (L2): a split pass reads a larger block in pieces. Split
+# whole blocks of 2048 x 300 took 1.4-1.8 times the serial time, pieces
+# 0.4-0.8; at 50 and 100 dims whole blocks were the faster, at 150 pieces.
+_CORE_CACHE_BYTES = 2 << 20
 
 
 @dataclass(eq=False)
@@ -92,6 +111,17 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _pieces(length: int) -> list[slice]:
+    """Slices of a block of ``length`` rows, in order: quarter blocks, the
+    last one taking a shorter tail, so none is shorter than a quarter block
+    unless the block is."""
+    quarter = _CACHE_BLOCK_ROWS // 4
+    starts = list(range(0, length, quarter))
+    if len(starts) > 1 and length - starts[-1] < quarter:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [length])]
+
+
 def row_products(
     vectors: np.ndarray,
     directions: Sequence[np.ndarray],
@@ -101,16 +131,31 @@ def row_products(
     ``(vectors - origin) @ directions[j]`` (``vectors @ directions[j]``
     without an origin) with the bits that mat-vec has under one BLAS
     thread. Each block's rows less the origin go into one reused buffer.
+
+    Where two CPUs are usable, a pass of ``_SPLIT_CELLS`` or more cells and
+    two or more blocks runs its blocks in two halves (``parallel.run_halves``),
+    each with a buffer of its own. There every direction reads each of the
+    ``_pieces`` of a block larger than ``_CORE_CACHE_BYTES`` in turn; other
+    passes read whole blocks.
     """
     n, d = vectors.shape
     out = np.empty((len(directions), n))
-    shifted = None if origin is None else np.empty((min(n, _CACHE_BLOCK_ROWS), d))
-    for rows in _row_blocks(n):
-        block = vectors[rows]
-        if shifted is not None:
-            block = np.subtract(block, origin, out=shifted[: len(block)])
-        for direction, products in zip(directions, out):
-            np.matmul(block, direction, out=products[rows])
+    blocks = _row_blocks(n)
+    split = two_threads(n * d * len(directions) >= _SPLIT_CELLS, len(blocks))
+    in_pieces = split and _CACHE_BLOCK_ROWS * d * 8 > _CORE_CACHE_BYTES
+
+    def products(half: Sequence[slice]) -> None:
+        shifted = None if origin is None else np.empty((min(n, _CACHE_BLOCK_ROWS), d))
+        for rows in half:
+            block = vectors[rows]
+            if shifted is not None:
+                block = np.subtract(block, origin, out=shifted[: len(block)])
+            for piece in _pieces(len(block)) if in_pieces else [slice(0, len(block))]:
+                cols = slice(rows.start + piece.start, rows.start + piece.stop)
+                for direction, row in zip(directions, out):
+                    np.matmul(block[piece], direction, out=row[cols])
+
+    run_halves(products, blocks, split)
     return out
 
 

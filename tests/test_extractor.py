@@ -476,6 +476,9 @@ class TestDescribe:
             [VertexCandidate(word_index=3, axis_index=0, end="max", score=1.0)],
             ExtractionParams(num_axes=1, k=4),
         )[0]
+        v = dataclasses.replace(
+            v, neighbor_set=v.neighbor_set[:4], neighbor_sims=v.neighbor_sims[:4]
+        )
         calls = []
         real = extractor.topk_neighbors
         monkeypatch.setattr(

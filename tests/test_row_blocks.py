@@ -5,6 +5,9 @@ reuse one block buffer, those of a fresh array per block. The centered
 products, ``row_products`` and the ranking of a fresh ``topk_neighbors``
 query also have the same bits under every BLAS thread count, and the
 products with a sub-pool of directions are the whole pool's rows.
+``row_products`` split between two threads, forced by setting its split
+size to 0, has the bits of the serial pass and of one-thread whole-matrix
+mat-vecs.
 
 A BLAS may round a row by how it splits the work, so the comparisons run
 in child processes, under one BLAS thread and under one per CPU; on a
@@ -12,6 +15,8 @@ single CPU there is nothing to compare across thread counts. Run as a
 script, this file makes them in its own process.
 """
 
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -32,11 +37,12 @@ from embshape import (
     topk_neighbors,
     write_glove_text,
 )
-from embshape import extractor
+from embshape import extractor, pca
 from embshape.cli import main
 from embshape.embeddings import _covariance
 from embshape.errors import DegenerateTriangleError
 from embshape.geometry import _plane_basis, project_triple
+from embshape.parallel import usable_cpus
 from embshape.pca import _CACHE_BLOCK_ROWS, _row_blocks, centered_product, row_products
 from helpers import reference_project
 
@@ -134,6 +140,44 @@ def blocked_kernel_mismatches() -> list:
     return bad
 
 
+# Shapes whose blocks a forced split spreads over both threads, and at
+# D = 300 a short last block, a borrowed quarter block and three blocks.
+SPLIT_SHAPES = (
+    *((n, d) for n in ROWS for d in DIMS),
+    *((n, 300) for n in (BLOCK + 1, BLOCK + BLOCK // 4 + 1, 2 * BLOCK + 5)),
+)
+
+
+@contextlib.contextmanager
+def forced_split():
+    """``row_products`` splits every pass of two or more blocks."""
+    cells, pca._SPLIT_CELLS = pca._SPLIT_CELLS, 0
+    try:
+        yield
+    finally:
+        pca._SPLIT_CELLS = cells
+
+
+def split_digests() -> dict:
+    """Digests of ``row_products`` of every split shape, keyed by kind and
+    "N x D", with and without an origin: of the serial pass, of the pass
+    split between two threads and of whole-matrix mat-vecs."""
+    digests = {}
+    for n, d in SPLIT_SHAPES:
+        vectors = cloud(n, d)
+        queries = [vectors[i] for i in sorted({0, n // 3, n // 2, n - 1})]
+        for origin in (None, vectors[n // 3]):
+            shape = "%d x %d%s" % (n, d, "" if origin is None else " shifted")
+            digests["serial " + shape] = digest(row_products(vectors, queries, origin).tobytes())
+            with forced_split():
+                split = row_products(vectors, queries, origin)
+            digests["split " + shape] = digest(split.tobytes())
+            shifted = vectors if origin is None else vectors - origin
+            whole = np.array([shifted @ q for q in queries])
+            digests["whole " + shape] = digest(whole.tobytes())
+    return digests
+
+
 # One block and 0 to 693 rows more, so the last block is short at many
 # widths, then clouds of several blocks.
 SWEEP_ROWS = (*(BLOCK + 7 * r for r in range(100)), 2 * BLOCK + 5, 9001, 20000)
@@ -166,18 +210,15 @@ def product_sweep() -> tuple[dict, list]:
             query = vectors[n // 2]
             products = row_products(vectors, [query])
             digests["row_products " + shape] = digest(products.tobytes())
+            with forced_split():
+                products = row_products(vectors, [query])
+            digests["split row_products " + shape] = digest(products.tobytes())
             ranking = topk_neighbors(space, query, n)
             digests["topk_neighbors " + shape] = digest(repr(ranking).encode())
     return digests, bad
 
 
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
-THREADS = sorted({1, _cpus()})
+THREADS = sorted({1, usable_cpus()})
 
 
 @functools.cache
@@ -194,6 +235,22 @@ def child(threads: int) -> dict:
 @pytest.mark.parametrize("threads", THREADS)
 def test_blocked_kernels_have_the_whole_matrix_bits(threads):
     assert child(threads)["mismatches"] == []
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_split_row_products_have_the_serial_and_the_one_thread_whole_matrix_bits(threads):
+    split = child(threads)["split"]
+    one_thread = child(1)["split"]
+    shapes = [key[len("split ") :] for key in split if key.startswith("split ")]
+    assert len(shapes) == 2 * len(SPLIT_SHAPES)
+    for shape in shapes:
+        assert split["split " + shape] == split["serial " + shape], shape
+        assert split["split " + shape] == one_thread["whole " + shape], shape
+    digests = child(threads)["digests"]
+    sweep = [key for key in digests if key.startswith("row_products ")]
+    assert sweep
+    for key in sweep:
+        assert digests["split " + key] == digests[key], key
 
 
 @pytest.mark.parametrize("threads", THREADS)
@@ -251,6 +308,8 @@ def test_describe_queries_afresh_past_the_ranking_glue_stored():
     space = _small_space()
     candidates = find_candidates(space, fit_pca(space, 3), 3)
     vertex = glue_candidates(space, candidates, ExtractionParams(k=2))[0]
+    ranked = vertex.neighbor_set[:2], vertex.neighbor_sims[:2]
+    vertex = dataclasses.replace(vertex, neighbor_set=ranked[0], neighbor_sims=ranked[1])
     assert len(vertex.neighbor_sims) == 2
     fresh = topk_neighbors(space, space.vectors[vertex.representative], 5)
     assert describe_vertex(space, vertex, k_desc=5) == [
@@ -277,6 +336,7 @@ if __name__ == "__main__":
         json.dumps(
             {
                 "mismatches": blocked_kernel_mismatches(),
+                "split": split_digests(),
                 "digests": digests,
                 "pool_mismatches": pool_mismatches,
             }
