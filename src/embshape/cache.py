@@ -88,7 +88,7 @@ _SEGMENT = 32 << 20
 _ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
 # The entry's matrix member. A hit serves its data as a view of the mapped
 # entry when it starts on an _ALIGN-byte boundary of the file, as a fresh
-# entry's does, and reads any other into a fresh array: numpy hands BLAS
+# entry's does, and copies any other out of the map: numpy hands BLAS
 # only data aligned for float64, and its own loops round otherwise.
 _MATRIX = "vectors.npy"
 _ALIGN = 64
@@ -236,7 +236,7 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
     than there are tasks, computes the matrix member's CRC-32 first and then
     hashes the segments of the source, while this thread reads the rest of
     the entry: all of them release the GIL. A matrix whose data is aligned
-    is served as a view of the map, any other read into a fresh array.
+    is served as a view of the map, any other as a copy of the mapped bytes.
     """
     try:
         # np.load leaves a file it opened open when the zip is corrupt
@@ -262,14 +262,10 @@ def _read_entry(entry: Path, key: dict, size: int) -> EmbeddingSpace | None:
                 digests = pool.map(
                     _segment_digest, itertools.repeat(key["source"]), starts, ends
                 )
-                if data % _ALIGN == 0:
-                    vectors = np.frombuffer(mapped, np.float64, math.prod(shape), data)
-                    vectors = vectors.reshape(shape)
-                else:
-                    vectors = np.empty(shape)
-                    fh.seek(data)
-                    if fh.readinto(memoryview(vectors).cast("B")) != vectors.nbytes:
-                        return None
+                vectors = np.frombuffer(mapped, np.float64, math.prod(shape), data)
+                vectors = vectors.reshape(shape)
+                if data % _ALIGN:
+                    vectors = vectors.copy()
                 space = EmbeddingSpace(words=words, vectors=vectors)
                 for name, shape in _derived_shapes(space).items():
                     array = npz[name]

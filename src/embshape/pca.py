@@ -22,10 +22,11 @@ from the one before. Whole quarter blocks split evenly between threads, so
 with OpenBLAS each row has the bits of a one-thread mat-vec of the whole
 matrix. (Padded mat-vec blocks round some rows otherwise.)
 
-A large ``row_products`` pass runs its blocks on two threads
-(``parallel.run_halves``). A block larger than one core's cache is read in
-quarter-block pieces (512 rows, 1.2 MB at 300 dims), which stay in it; a
-shorter tail joins the piece before it, so the rows keep the same bits.
+A large ``row_products`` pass whose blocks are larger than one core's
+cache runs its blocks on two threads (``parallel.run_halves``) and reads
+each block in quarter-block pieces (512 rows, 1.2 MB at 300 dims), which
+stay in it; a shorter tail joins the piece before it, so the rows keep the
+same bits. A pass whose blocks fit in that cache stays on one thread.
 ``centered_product`` stays on one thread: its GEMMs already use every BLAS
 thread, and split between two threads they were slower.
 """
@@ -46,13 +47,15 @@ _CACHE_BLOCK_ROWS = 2048
 
 # A row_products pass of at least this many cells (N x D x Q) runs on two
 # threads. On 2 vCPUs the split took 0.5-0.9 of the serial time at 2^24
-# cells (2800 x 300 with 20 directions, 28000 x 300 with 2, 20000 x 50
-# with 20) and 0.4-0.6 at 50000 x 300 with 40; below it a split saves a
-# millisecond at most, and the helper thread costs CPU.
+# cells (2800 x 300 with 20 directions, 28000 x 300 with 2) and 0.4-0.6
+# at 50000 x 300 with 40; below it a split saves a millisecond at most,
+# and the helper thread costs CPU.
 _SPLIT_CELLS = 1 << 24
-# One core's cache (L2): a split pass reads a larger block in pieces. Split
-# whole blocks of 2048 x 300 took 1.4-1.8 times the serial time, pieces
-# 0.4-0.8; at 50 and 100 dims whole blocks were the faster, at 150 pieces.
+# One core's cache (L2). Only a pass whose blocks are larger splits, and it
+# reads them in pieces: split whole blocks of 2048 x 300 took 1.4-1.8 times
+# the serial time, pieces 0.4-0.8. At 50 dims split pieces took 1.1-1.5
+# times the serial time; no benchmark workload has a split-size pass of
+# 128 dims or fewer.
 _CORE_CACHE_BYTES = 2 << 20
 
 
@@ -132,17 +135,17 @@ def row_products(
     without an origin) with the bits that mat-vec has under one BLAS
     thread. Each block's rows less the origin go into one reused buffer.
 
-    Where two CPUs are usable, a pass of ``_SPLIT_CELLS`` or more cells and
-    two or more blocks runs its blocks in two halves (``parallel.run_halves``),
-    each with a buffer of its own. There every direction reads each of the
-    ``_pieces`` of a block larger than ``_CORE_CACHE_BYTES`` in turn; other
-    passes read whole blocks.
+    Where two CPUs are usable, a pass of ``_SPLIT_CELLS`` or more cells,
+    two or more blocks and blocks larger than ``_CORE_CACHE_BYTES`` runs its
+    blocks in two halves (``parallel.run_halves``), each with a buffer of
+    its own, and every direction reads each of a block's ``_pieces`` in
+    turn. Other passes read whole blocks on the calling thread.
     """
     n, d = vectors.shape
     out = np.empty((len(directions), n))
     blocks = _row_blocks(n)
-    split = two_threads(n * d * len(directions) >= _SPLIT_CELLS, len(blocks))
-    in_pieces = split and _CACHE_BLOCK_ROWS * d * 8 > _CORE_CACHE_BYTES
+    large = n * d * len(directions) >= _SPLIT_CELLS
+    split = two_threads(large and _CACHE_BLOCK_ROWS * d * 8 > _CORE_CACHE_BYTES, len(blocks))
 
     def products(half: Sequence[slice]) -> None:
         shifted = None if origin is None else np.empty((min(n, _CACHE_BLOCK_ROWS), d))
@@ -150,7 +153,7 @@ def row_products(
             block = vectors[rows]
             if shifted is not None:
                 block = np.subtract(block, origin, out=shifted[: len(block)])
-            for piece in _pieces(len(block)) if in_pieces else [slice(0, len(block))]:
+            for piece in _pieces(len(block)) if split else [slice(0, len(block))]:
                 cols = slice(rows.start + piece.start, rows.start + piece.stop)
                 for direction, row in zip(directions, out):
                     np.matmul(block[piece], direction, out=row[cols])

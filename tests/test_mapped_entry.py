@@ -118,6 +118,7 @@ def test_an_entry_rewritten_by_plain_savez_is_served_through_a_copy(path, cache)
     second, hit = load(path)
     assert hit == 1
     assert not mapped(second.vectors)
+    assert second.vectors.flags.aligned
     assert not second.vectors.flags.writeable
     assert second.vectors.tobytes() == first.vectors.tobytes()
     for name in ("mean", "row_norms", "covariance"):

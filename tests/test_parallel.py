@@ -2,8 +2,9 @@
 split between two threads gives the fractions of one, the ``--timings``
 counts and the report bytes do not change, and a pass below its split size,
 or a process that may use one CPU, starts no thread. The split is forced by
-setting the split sizes to 0; ``test_row_blocks`` checks the bits of
-``row_products`` split the same way.
+setting the split sizes to 0 (``row_products`` splits only blocks larger
+than one core's cache, so its passes here have 150 dims);
+``test_row_blocks`` checks the bits of ``row_products`` split the same way.
 """
 
 import json
@@ -125,9 +126,10 @@ def _outputs(path, tmp_path, words):
 def test_split_passes_leave_the_outputs_and_the_timings_counts_alone(
     tmp_path, monkeypatch
 ):
-    # 5000 rows are three row blocks, so glue's products split too
+    # 5000 rows of 150 dims are three row blocks of 2.4 MB, so glue's
+    # products split too
     cloud = generate_simplex_cloud(
-        dim=12, num_vertices=6, num_points=5000, alpha=1.5, sigma=0.01, seed=7
+        dim=150, num_vertices=6, num_points=5000, alpha=1.5, sigma=0.01, seed=7
     )
     path = tmp_path / "cloud.txt"
     write_glove_text(cloud.space, path)
@@ -139,9 +141,13 @@ def test_split_passes_leave_the_outputs_and_the_timings_counts_alone(
     assert _outputs(path, tmp_path, words) == one
 
 
-def test_a_pass_below_the_split_sizes_starts_no_thread(small_cloud, no_thread):
+def test_a_pass_below_the_split_sizes_starts_no_thread(small_cloud, no_thread, monkeypatch):
     space = small_cloud.space
     pca.row_products(space.vectors, list(space.vectors[:40]))
+    # blocks of 128 dims fit one core's cache: no pass of them splits
+    monkeypatch.setattr(pca, "_SPLIT_CELLS", 0)
+    vectors = np.random.default_rng(0).standard_normal((5000, 128))
+    pca.row_products(vectors, list(vectors[:3]), vectors[0])
     product = PoolProduct(space, small_cloud.true_vertices)
     triangles = [product.triangle(*small_cloud.true_vertices[:3])] * 5
     product.count(triangles, incircle=True)
@@ -159,7 +165,7 @@ def test_a_process_pinned_to_one_cpu_starts_no_thread():
             raise AssertionError("a helper thread was started")
         parallel.ThreadPoolExecutor = refuse
         cloud = generate_simplex_cloud(
-            dim=12, num_vertices=6, num_points=5000, alpha=1.5, sigma=0.0, seed=7
+            dim=150, num_vertices=6, num_points=5000, alpha=1.5, sigma=0.0, seed=7
         )
         space = cloud.space
         pca.row_products(space.vectors, list(space.vectors[:3]), space.vectors[0])

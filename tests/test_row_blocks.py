@@ -140,17 +140,19 @@ def blocked_kernel_mismatches() -> list:
     return bad
 
 
-# Shapes whose blocks a forced split spreads over both threads, and at
-# D = 300 a short last block, a borrowed quarter block and three blocks.
+# Shapes whose blocks a forced split spreads over both threads: at D = 300
+# one block, a short last block, a borrowed quarter block and three blocks,
+# and at 129 dims, the fewest whose blocks split.
 SPLIT_SHAPES = (
-    *((n, d) for n in ROWS for d in DIMS),
-    *((n, 300) for n in (BLOCK + 1, BLOCK + BLOCK // 4 + 1, 2 * BLOCK + 5)),
+    *((n, 300) for n in sorted({*ROWS, BLOCK + BLOCK // 4 + 1})),
+    (2 * BLOCK + 5, 129),
 )
 
 
 @contextlib.contextmanager
 def forced_split():
-    """``row_products`` splits every pass of two or more blocks."""
+    """``row_products`` splits every pass of two or more blocks larger than
+    one core's cache."""
     cells, pca._SPLIT_CELLS = pca._SPLIT_CELLS, 0
     try:
         yield
