@@ -82,8 +82,8 @@ _CACHE_BYTES = 2 << 30
 # The source is read, and hashed, in chunks of this size.
 _READ_CHUNK = 1 << 20
 # Bytes per separately hashed segment of the source, so that a hit can hash
-# the segments on every core.
-_SEGMENT = 32 << 20
+# the segments on every core: a source of a few tens of MB has several.
+_SEGMENT = 8 << 20
 # What a cache entry that cannot be read raises; each is a miss.
 _ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
 # The entry's matrix member. A hit serves its data as a view of the mapped

@@ -13,6 +13,7 @@ import argparse
 import inspect
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -248,3 +249,24 @@ def main(argv: list[str] | None = None) -> int:
     except (EmbshapeError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+
+
+def run() -> None:
+    """The console entry point: ``main``, then end the process at once.
+
+    A finished command has closed its files, executors and parse workers,
+    so once stdout and stderr are flushed ``os._exit`` skips the
+    interpreter's teardown. A ``SystemExit`` or an error of ``main``
+    propagates as it would from ``sys.exit(main())``. A flush that raises
+    leaves through ``sys.exit`` too, and so does a run under a profiler or
+    a tracer, which writes its results at exit.
+    """
+    code = main()
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe, or a closed stream
+        sys.exit(code)
+    os._exit(code)

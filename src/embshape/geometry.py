@@ -23,7 +23,9 @@ The triangle test is written once, as three kernels on N-length buffers:
 ``_incircle_mask``. ``PoolProduct.count`` runs them on one set of buffers
 for all its triangles, or one per half when it splits them between two
 threads; ``barycentric``, ``inside_triangle`` and ``containment`` run them
-on fresh ones.
+on fresh ones. Where a C compiler is installed, ``PoolProduct.count`` runs
+the same operations, with ``_coordinates``, as one compiled loop per
+triangle instead (``kernel``), with the same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernel
 from .embeddings import EmbeddingSpace
 from .errors import DegenerateTriangleError
 from .parallel import run_halves, two_threads
@@ -179,30 +182,68 @@ class PoolProduct:
         T x 2 array: the fractions ``containment`` gives on the words' frame
         coordinates, bit for bit.
 
-        One loop of the containment kernels serves both, on five N-length
-        buffers shared by all the triangles: ``_incircle_mask`` reads the
-        frame coordinates before ``_weights`` shifts them in place. A cloud
-        of ``_SPLIT_WORDS`` or more words is counted in two halves of the
-        triangles (``parallel.run_halves``), each with buffers of its own.
+        The count runs in ``kernel.count_kernel``, the compiled loop, or,
+        when there is none, in the numpy kernels (see ``_count_part``). A
+        cloud of ``_SPLIT_WORDS`` or more words is counted in two halves of
+        the triangles (``parallel.run_halves``).
         """
-        n = self.space.n_words
         fractions = np.full((len(triangles), 2), np.nan)
+        compiled = kernel.count_kernel()
 
-        def count_rows(rows: Sequence[tuple[np.ndarray, PoolTriangle]]) -> None:
-            x, y, l1, l2, l3 = np.empty((5, n))
-            mask, scratch = np.empty((2, n), dtype=bool)
-            for row, tri in rows:
-                self._coordinates(tri.corners, tri.scale, x, y, l3)
-                if incircle:
-                    _incircle_mask(x, y, tri.tri2d, mask, l1, l2)
-                    row[1] = 1.0 - float(np.count_nonzero(mask)) / n
-                _weights(x, y, tri.tri2d, tri.det, l1, l2, l3)
-                _inside_mask(l1, l2, l3, mask, scratch)
-                row[0] = float(np.count_nonzero(mask)) / n
+        def count_part(part: range) -> None:
+            part = slice(part.start, part.stop)
+            self._count_part(compiled, triangles[part], incircle, fractions[part])
 
-        rows = list(zip(fractions, triangles))
-        run_halves(count_rows, rows, two_threads(n >= _SPLIT_WORDS, len(rows)))
+        n = self._products.shape[1]
+        split = two_threads(n >= _SPLIT_WORDS, len(triangles))
+        run_halves(count_part, range(len(triangles)), split)
         return fractions
+
+    def _count_part(self, compiled, triangles, circle: bool, out: np.ndarray) -> None:
+        """``count`` of ``triangles`` into their rows ``out``, with the
+        incircle when ``circle``, through the ``compiled`` kernel or, when
+        that is None, the numpy kernels.
+
+        The numpy loop shares five N-length buffers among the triangles:
+        ``_incircle_mask`` reads the frame coordinates before ``_weights``
+        shifts them in place. The compiled loop takes the same operations
+        per word, and its numbers per triangle are computed here as the
+        numpy kernels compute them. It reads the float64 rows of
+        ``_products``, whose words lie at unit stride, and writes ``out``,
+        rows of the C-ordered fractions, through their pointers.
+        """
+        g = self._products
+        n = g.shape[1]
+        if compiled is not None:
+            rows, params = [], []
+            for tri in triangles:
+                rows.append([self._row[i] for i in tri.corners] + [tri.corners[0]])
+                (x1, y1), (x2, y2), (x3, y3) = tri.tri2d.tolist()
+                cx = cy = rr = 0.0
+                if circle:
+                    (cx, cy), radius = incircle(tri.tri2d)
+                    rr = radius * radius
+                params.append(
+                    (*tri.scale, x3, y3, y2 - y3, x3 - x2, y3 - y1, x1 - x3, tri.det, cx, cy, rr)
+                )
+            rows = np.array(rows, dtype=np.int64)
+            params = np.array(params, dtype=np.float64)
+            compiled(
+                g.ctypes.data, g.strides[0] // g.itemsize, n, len(triangles),
+                rows.ctypes.data, params.ctypes.data, circle,
+                -BARYCENTRIC_INSIDE_TOL, out.ctypes.data,
+            )
+            return
+        x, y, l1, l2, l3 = np.empty((5, n))
+        mask, scratch = np.empty((2, n), dtype=bool)
+        for row, tri in zip(out, triangles):
+            self._coordinates(tri.corners, tri.scale, x, y, l3)
+            if circle:
+                _incircle_mask(x, y, tri.tri2d, mask, l1, l2)
+                row[1] = 1.0 - float(np.count_nonzero(mask)) / n
+            _weights(x, y, tri.tri2d, tri.det, l1, l2, l3)
+            _inside_mask(l1, l2, l3, mask, scratch)
+            row[0] = float(np.count_nonzero(mask)) / n
 
 
 def _check_nondegenerate(tri2d: np.ndarray) -> float:

@@ -67,14 +67,14 @@ def test_split_counts_are_the_serial_and_the_reference_fractions(
     serial = product.count(triangles, incircle=incircle)
 
     threads = set()
-    coordinates = PoolProduct._coordinates
+    count_part = PoolProduct._count_part
 
     def recorded(self, *args):
         threads.add(threading.get_ident())
-        coordinates(self, *args)
+        count_part(self, *args)
 
     monkeypatch.setattr(geometry, "_SPLIT_WORDS", 0)
-    monkeypatch.setattr(PoolProduct, "_coordinates", recorded)
+    monkeypatch.setattr(PoolProduct, "_count_part", recorded)
     halves = product.count(triangles, incircle=incircle)
     assert len(threads) == (2 if count > 1 and TWO_CPUS else 1)
     assert halves.tobytes() == serial.tobytes()

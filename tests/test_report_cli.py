@@ -26,7 +26,7 @@ from embshape import (
     topk_neighbors,
     write_glove_text,
 )
-from embshape import embeddings
+from embshape import cli, embeddings
 from embshape import report as report_module
 from embshape.cli import main
 from embshape.report import aggregate_triple_stats, sample_triple_stats
@@ -562,6 +562,62 @@ class TestCli:
         rc = main(["analyze", str(bad)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _run_module(*argv, cwd):
+    """``python -m embshape argv`` with stdout and stderr on pipes."""
+    return subprocess.run(
+        [sys.executable, "-m", "embshape", *argv], cwd=cwd, capture_output=True
+    )
+
+
+class TestRun:
+    """``cli.run``, the entry point of ``python -m embshape`` and of the
+    ``embshape`` script, leaves without interpreter teardown: the bytes,
+    the warnings and the exit codes must be those of ``main``."""
+
+    def test_project_to_a_pipe_writes_the_bytes_of_out(self, small_cloud, tmp_path):
+        space = small_cloud.space
+        text = format_glove_text(space)
+        path = tmp_path / "dup.txt"
+        path.write_text(text + text.splitlines(keepends=True)[0])
+        words = [space.words[i] for i in small_cloud.true_vertices[:3]]
+        argv = ["project", str(path), "--words", *words, "--format", "csv"]
+        out = tmp_path / "out.csv"
+        to_file = _run_module(*argv, "-o", str(out), cwd=tmp_path)
+        piped = _run_module(*argv, cwd=tmp_path)
+        assert to_file.returncode == piped.returncode == 0
+        assert piped.stdout == out.read_bytes()
+        assert piped.stdout.count(b"\n") == len(space) + 1
+        duplicate = b"line %d: duplicate token" % (len(space) + 1)
+        assert duplicate in to_file.stderr and duplicate in piped.stderr
+
+    def test_exit_codes(self, tmp_path):
+        version = _run_module("--version", cwd=tmp_path)
+        assert (version.returncode, version.stdout) == (0, b"embshape 0.1.0\n")
+        missing = _run_module("analyze", str(tmp_path / "missing.txt"), cwd=tmp_path)
+        assert missing.returncode == 1 and missing.stderr.startswith(b"error: ")
+        usage = _run_module("analyze", "--tau", cwd=tmp_path)
+        assert usage.returncode == 2 and b"usage:" in usage.stderr
+
+    def test_a_profiled_run_writes_its_profile(self, tmp_path):
+        argv = ["synth", "--dim", "3", "--vertices", "3", "--points", "20", "-o", "c.txt"]
+        run = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "embshape", *argv],
+            cwd=tmp_path, capture_output=True,
+        )
+        assert run.returncode == 0 and b"function calls" in run.stdout
+
+    def test_a_flush_that_fails_leaves_through_sys_exit(self, monkeypatch):
+        class Closed(io.StringIO):
+            def flush(self):
+                raise OSError("closed")
+
+        monkeypatch.setattr(cli, "main", lambda: 0)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(SystemExit) as leave:
+            cli.run()
+        assert leave.value.code == 0
 
 
 # Prints OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first imported.
